@@ -335,7 +335,8 @@ def run_pipeline(config: RunConfig) -> dict:
         vms = {}
         for name in sorted(graphs):
             g = graphs[name]
-            target = giant_wcc(g) if config.component_policy == "giant-wcc" else g
+            giant = giant_wcc(g)
+            target = giant if config.component_policy == "giant-wcc" else g
             gm = compute_global_metrics(target)
             ws.write_text(f"metrics/{name}.global.json", dump_json(gm.to_dict()))
             vm = vertex_metrics(target, lcratio_by_service=lcr_for[name],
@@ -344,7 +345,7 @@ def run_pipeline(config: RunConfig) -> dict:
             buf = io.StringIO()
             write_vertex_metrics_csv(vm, buf)
             ws.write_text(f"metrics/{name}.vertices.csv", buf.getvalue())
-            curve = hub_reach_curve(giant_wcc(g), k=config.k_hubs)
+            curve = hub_reach_curve(giant, k=config.k_hubs)
             ws.write_text(
                 f"metrics/{name}.hubreach.json",
                 dump_json({"k": config.k_hubs, "curve": curve}),
@@ -524,7 +525,8 @@ def _lcratio_from_summaries_csv(path) -> dict[str, float]:
 
 def _cmd_metrics(args) -> int:
     g = read_graph_file(args.graph)
-    target = giant_wcc(g) if args.component == "giant-wcc" else g
+    giant = giant_wcc(g)
+    target = giant if args.component == "giant-wcc" else g
     gm = compute_global_metrics(target)
     atomic_write_text(args.global_json, dump_json(gm.to_dict()))
     lcr = _lcratio_from_summaries_csv(args.summaries) if args.summaries else None
@@ -536,7 +538,7 @@ def _cmd_metrics(args) -> int:
     write_vertex_metrics_csv(vm, buf)
     atomic_write_text(args.vertex_csv, buf.getvalue())
     if args.hub_curve_json:
-        curve = hub_reach_curve(giant_wcc(g), k=args.k_hubs)
+        curve = hub_reach_curve(giant, k=args.k_hubs)
         atomic_write_text(args.hub_curve_json, dump_json({"k": args.k_hubs, "curve": curve}))
     print(f"wrote global metrics to {args.global_json}, vertex metrics to {args.vertex_csv}")
     return 0

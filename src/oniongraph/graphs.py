@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.sparse import csgraph, csr_array
 
 from .errors import DataError, UsageError
 from .records import PageRecord
@@ -173,6 +174,12 @@ class ServiceGraph:
                 self._succ = self._build_csr(src, dst, wgt)
         return self._succ
 
+    def adjacency(self) -> csr_array:
+        """0/1 sparse adjacency matrix of successors_csr (symmetric for
+        undirected graphs)."""
+        indptr, indices, _ = self.successors_csr()
+        return csr_array((np.ones(indices.size), indices, indptr), shape=(self.N, self.N))
+
     def predecessors_csr(self):
         if self._pred is None:
             if self.directed:
@@ -316,34 +323,11 @@ def union(graphs: Sequence[ServiceGraph]) -> ServiceGraph:
 def weakly_connected_components(g: ServiceGraph) -> list[np.ndarray]:
     """Vertex-index arrays of the weakly connected components, each sorted,
     ordered by (size desc, smallest vertex index asc)."""
-    n = g.N
-    if g.directed:
-        src = np.concatenate([g.edge_src, g.edge_dst])
-        dst = np.concatenate([g.edge_dst, g.edge_src])
-    else:
-        src = np.concatenate([g.edge_src, g.edge_dst])
-        dst = np.concatenate([g.edge_dst, g.edge_src])
-    order = np.argsort(src, kind="stable")
-    src, dst = src[order], dst[order]
-    counts = np.bincount(src, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-
-    label = np.full(n, -1, dtype=np.int64)
-    current = 0
-    for start in range(n):
-        if label[start] >= 0:
-            continue
-        label[start] = current
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in dst[indptr[u] : indptr[u + 1]]:
-                if label[v] < 0:
-                    label[v] = current
-                    stack.append(int(v))
-        current += 1
-    components = [np.flatnonzero(label == c) for c in range(current)]
+    _, label = csgraph.connected_components(g.adjacency(), directed=True, connection="weak")
+    # a stable sort keeps each component's members in ascending index order
+    order = np.argsort(label, kind="stable")
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(label))])
+    components = [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
     components.sort(key=lambda comp: (-comp.size, int(comp[0])))
     return components
 

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csgraph
 
 from .errors import DataError, UsageError
 from .graphs import ServiceGraph
@@ -42,32 +43,34 @@ VERTEX_CSV_COLUMNS = [
 ]
 
 
-# -- BFS core -------------------------------------------------------------
+# -- distance pass ------------------------------------------------------------
+
+# Sources per distance block are chosen so that a float64 block holds at most
+# this many entries (1 MiB). A full N x N matrix costs 8 N^2 bytes: 800 MB at
+# N = 10 000, and already a measurable share of peak memory at N ~ 1000.
+_BLOCK_ENTRIES = 2**17
 
 
-def _gather(indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray) -> np.ndarray:
-    counts = indptr[frontier + 1] - indptr[frontier]
-    total = int(counts.sum())
-    if total == 0:
-        return indices[:0]
-    flat = np.repeat(indptr[frontier], counts)
-    flat += np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
-    return indices[flat]
+def _distance_blocks(g: ServiceGraph):
+    """Yield (rows, D) for consecutive blocks of source vertices: D[i, v] is
+    the unweighted distance from rows[i] to v, np.inf when unreachable."""
+    a = g.adjacency()
+    n = g.N
+    step = max(1, _BLOCK_ENTRIES // n)
+    for start in range(0, n, step):
+        rows = np.arange(start, min(start + step, n))
+        yield rows, csgraph.shortest_path(
+            a, method="D", directed=g.directed, unweighted=True, indices=rows
+        )
 
 
-def bfs_distances(indptr: np.ndarray, indices: np.ndarray, source: int, n: int) -> np.ndarray:
-    """Unweighted distances from source; unreachable vertices get -1."""
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[source] = 0
-    frontier = np.array([source], dtype=np.int64)
-    level = 0
-    while frontier.size:
-        nbrs = np.unique(_gather(indptr, indices, frontier))
-        nbrs = nbrs[dist[nbrs] < 0]
-        level += 1
-        dist[nbrs] = level
-        frontier = nbrs
-    return dist
+def _closed_pairs(g: ServiceGraph) -> np.ndarray:
+    """Per vertex, the ordered pairs of distinct (out-)neighbors linked in at
+    least one direction: rowsum((A S) * A) with A the 0/1 adjacency and S its
+    0/1 symmetrization, so a reciprocated pair still counts once."""
+    a = g.adjacency()
+    s = (a + a.T > 0).astype(np.float64) if g.directed else a
+    return np.asarray((a @ s).multiply(a).sum(axis=1), dtype=np.int64).ravel()
 
 
 def _brandes_accumulate(dist, esrc, edst, source, n, betweenness) -> None:
@@ -117,14 +120,12 @@ def distance_stats(g: ServiceGraph) -> DistanceStats:
     n = g.N
     if n < 2:
         raise DataError("distance statistics need at least 2 vertices")
-    indptr, indices, _ = g.successors_csr()
     diameter = 0
     finite_sum = 0
     finite_count = 0
     inv_sum = 0.0
-    for s in range(n):
-        dist = bfs_distances(indptr, indices, s, n)
-        reach = dist[dist > 0]
+    for _, d in _distance_blocks(g):
+        reach = d[np.isfinite(d) & (d > 0)]
         if reach.size:
             diameter = max(diameter, int(reach.max()))
             finite_sum += int(reach.sum())
@@ -186,30 +187,11 @@ def global_transitivity(g: ServiceGraph) -> float:
     """Directed: fraction of ordered out-neighbor pairs (v, w) of any vertex
     that are themselves linked in at least one direction. Undirected: closed
     triplets over all triplets. NaN when no open triple exists."""
-    keys = g.edge_keys()
-    indptr, indices, _ = g.successors_csr()
-    if g.directed:
-        def connected(a: int, b: int) -> bool:
-            return (a, b) in keys or (b, a) in keys
-    else:
-        def connected(a: int, b: int) -> bool:
-            return ((a, b) if a < b else (b, a)) in keys
-    triples = 0
-    closed = 0
-    for v in range(g.N):
-        nbrs = indices[indptr[v] : indptr[v + 1]]
-        k = nbrs.size
-        if k < 2:
-            continue
-        triples += k * (k - 1)
-        for i in range(k):
-            a = int(nbrs[i])
-            for j in range(i + 1, k):
-                if connected(a, int(nbrs[j])):
-                    closed += 2  # both orderings of the pair
+    k = np.diff(g.successors_csr()[0])
+    triples = int((k * (k - 1)).sum())
     if triples == 0:
         return math.nan
-    return closed / triples
+    return int(_closed_pairs(g).sum()) / triples
 
 
 @dataclass(frozen=True)
@@ -437,8 +419,7 @@ def vertex_metrics(
     n = g.N
     if n == 0:
         raise DataError("vertex metrics of an empty graph")
-    indptr, indices, _ = g.successors_csr()
-    keys = g.edge_keys()
+    a = g.adjacency()
     if g.directed:
         esrc, edst = g.edge_src, g.edge_dst
     else:
@@ -451,27 +432,20 @@ def vertex_metrics(
     cnt_in = np.zeros(n, dtype=np.int64)
     eff_sum = np.zeros(n)
 
-    # vertices whose (out-)neighborhood contains u: u's BFS row feeds their
-    # local efficiency
-    parents: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        for u in indices[indptr[v] : indptr[v + 1]]:
-            parents[int(u)].append(v)
-    neighborhoods = [indices[indptr[v] : indptr[v + 1]] for v in range(n)]
-
-    for s in range(n):
-        dist = bfs_distances(indptr, indices, s, n)
-        reached = dist > 0  # finite and not s itself
-        if np.any(reached):
-            ecc[s] = float(dist[reached].max())
-        sum_in[reached] += dist[reached]
-        cnt_in[reached] += 1
-        for v in parents[s]:
-            d = dist[neighborhoods[v]]
-            ok = d > 0  # drops s itself (d=0) and unreachable (-1)
-            if np.any(ok):
-                eff_sum[v] += float((1.0 / d[ok]).sum())
-        _brandes_accumulate(dist, esrc, edst, s, n, betweenness)
+    for rows, d in _distance_blocks(g):
+        reached = np.isfinite(d) & (d > 0)  # finite and not the source itself
+        d_reached = np.where(reached, d, 0.0)
+        ecc[rows] = d_reached.max(axis=1)
+        sum_in += d_reached.sum(axis=0)
+        cnt_in += reached.sum(axis=0)
+        # local efficiency: eff_sum[v] gains 1/d(u, w) for each neighbor u
+        # of v among the block's sources and each neighbor w of v;
+        # (A @ inv.T)[v, u] sums over w, A's column slice keeps u adjacent to v
+        inv = np.divide(1.0, d, out=np.zeros_like(d), where=reached)
+        eff_sum += np.asarray(a[:, rows[0] : rows[-1] + 1].multiply(a @ inv.T).sum(axis=1)).ravel()
+        dist = np.where(np.isfinite(d), d, -1).astype(np.int64)
+        for s, row in zip(rows.tolist(), dist):
+            _brandes_accumulate(row, esrc, edst, s, n, betweenness)
 
     closeness = np.zeros(n)
     nontrivial = cnt_in > 0
@@ -481,34 +455,16 @@ def vertex_metrics(
 
     out_deg = g.out_degrees()
     in_deg = g.in_degrees()
-    if g.directed:
-        degree = out_deg + in_deg
-        local_deg = out_deg
-    else:
-        degree = g.degrees()
-        local_deg = degree
+    degree = out_deg + in_deg
 
+    # the local metrics look at out-neighbors (all neighbors when undirected)
+    k = np.diff(a.indptr)
+    local = k >= 2
+    pairs = (k * (k - 1))[local]
     efficiency = np.full(n, np.nan)
+    efficiency[local] = eff_sum[local] / pairs
     transitivity = np.full(n, np.nan)
-    if g.directed:
-        def connected(a: int, b: int) -> bool:
-            return (a, b) in keys or (b, a) in keys
-    else:
-        def connected(a: int, b: int) -> bool:
-            return ((a, b) if a < b else (b, a)) in keys
-    for v in range(n):
-        k = int(local_deg[v])
-        if k < 2:
-            continue
-        efficiency[v] = eff_sum[v] / (k * (k - 1))
-        nbrs = neighborhoods[v]
-        hits_ = 0
-        for i in range(k):
-            a = int(nbrs[i])
-            for j in range(i + 1, k):
-                if connected(a, int(nbrs[j])):
-                    hits_ += 2
-        transitivity[v] = hits_ / (k * (k - 1))
+    transitivity[local] = _closed_pairs(g)[local] / pairs
 
     pr = pagerank(g, weighted=weighted_rank)
     hub, auth = hits(g, weighted=weighted_rank)

@@ -116,15 +116,13 @@ class LabelSet:
 def _average_ranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks; ties get the mean of the ranks they span."""
     order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size, dtype=np.float64)
     sx = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # tie groups occupy sorted positions first[g] .. last[g]
+    first = np.flatnonzero(np.concatenate([[True], sx[1:] != sx[:-1]]))
+    sizes = np.diff(np.append(first, x.size))
+    last = first + sizes - 1
+    ranks = np.empty(x.size, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, sizes)
     return ranks
 
 

@@ -151,6 +151,22 @@ def local_transitivity_oracle(g):
     return tra
 
 
+def global_transitivity_oracle(g):
+    """Ordered (out-)neighbor pairs linked in either direction, over all
+    ordered (out-)neighbor pairs; NaN when there are none."""
+    a = adjacency_bool(g)
+    closed = 0
+    triples = 0
+    for v in range(g.N):
+        nbrs = np.flatnonzero(a[v])
+        triples += nbrs.size * (nbrs.size - 1)
+        for u in nbrs:
+            for w in nbrs:
+                if u != w and (a[u, w] or a[w, u]):
+                    closed += 1
+    return closed / triples if triples else float("nan")
+
+
 def distance_stats_oracle(dist):
     n = dist.shape[0]
     off = ~np.eye(n, dtype=bool)

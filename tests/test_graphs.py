@@ -12,6 +12,7 @@ from oniongraph.graphs import (
     read_graph_file,
     to_usg,
     union,
+    weakly_connected_components,
     write_graph_file,
 )
 from oniongraph.records import PageRecord
@@ -230,6 +231,11 @@ class TestGiantWcc:
         for v in g.vertices:
             sizes[labels[v]] = sizes.get(labels[v], 0) + 1
         assert giant_wcc(g).N == max(sizes.values())
+        members = {}
+        for i, v in enumerate(g.vertices):
+            members.setdefault(labels[v], []).append(i)
+        expected = sorted(members.values(), key=lambda m: (-len(m), m[0]))
+        assert [c.tolist() for c in weakly_connected_components(g)] == expected
 
 
 # hypothesis: random graph triples obey the algebra invariants

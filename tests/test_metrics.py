@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oniongraph import metrics
 from oniongraph.errors import DataError
 from oniongraph.graphs import ServiceGraph, giant_wcc
 from oniongraph.metrics import (
@@ -20,11 +21,13 @@ from oniongraph.metrics import (
 )
 
 from oracles import (
+    adjacency_bool,
     betweenness_oracle,
     closeness_oracle,
     distance_stats_oracle,
     eccentricity_oracle,
     floyd_warshall,
+    global_transitivity_oracle,
     local_efficiency_oracle,
     local_transitivity_oracle,
     random_digraph,
@@ -172,6 +175,20 @@ class TestGlobalTransitivity:
     def test_no_triples_is_nan(self):
         assert math.isnan(global_transitivity(ug([("a.onion", "b.onion", 1)])))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_oracle_on_digraphs_with_reciprocal_edges(self, seed):
+        rng = np.random.default_rng(40 + seed)
+        g = random_digraph(rng, int(rng.integers(10, 40)), 0.2)
+        a = adjacency_bool(g)
+        assert (a & a.T).any()  # a reciprocated pair must still count once
+        assert global_transitivity(g) == pytest.approx(global_transitivity_oracle(g), abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_oracle_on_undirected_graphs(self, seed):
+        rng = np.random.default_rng(50 + seed)
+        g = random_undirected(rng, int(rng.integers(10, 40)), 0.2)
+        assert global_transitivity(g) == pytest.approx(global_transitivity_oracle(g), abs=1e-12)
+
 
 class TestVertexMetrics:
     def test_path_betweenness_and_eccentricity(self):
@@ -239,6 +256,30 @@ class TestVertexMetrics:
         np.testing.assert_allclose(
             vm.transitivity, local_transitivity_oracle(g), atol=1e-9, equal_nan=True
         )
+
+    @pytest.mark.parametrize("seed,directed", [(20, True), (21, False)])
+    def test_suite_matches_oracles_across_distance_blocks(self, seed, directed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        n = 7 * 4 + 3  # four full blocks of 7 sources and a ragged one of 3
+        g = random_digraph(rng, n, 0.05) if directed else random_undirected(rng, n, 0.06)
+        monkeypatch.setattr(metrics, "_BLOCK_ENTRIES", 7 * n)
+        dist = floyd_warshall(g)
+        assert np.isinf(dist).any()
+        vm = vertex_metrics(g)
+        np.testing.assert_allclose(vm.betweenness, betweenness_oracle(g), atol=1e-9)
+        np.testing.assert_allclose(vm.closeness, closeness_oracle(dist), atol=1e-9)
+        np.testing.assert_array_equal(vm.eccentricity, eccentricity_oracle(dist))
+        np.testing.assert_allclose(
+            vm.efficiency, local_efficiency_oracle(g, dist), atol=1e-9, equal_nan=True
+        )
+        np.testing.assert_allclose(
+            vm.transitivity, local_transitivity_oracle(g), atol=1e-9, equal_nan=True
+        )
+        stats = distance_stats(g)
+        d, avg, eglo = distance_stats_oracle(dist)
+        assert stats.diameter == d
+        assert stats.avg_distance == pytest.approx(avg, abs=1e-12)
+        assert stats.global_efficiency == pytest.approx(eglo, abs=1e-12)
 
     def test_degree_one_vertex_gets_nan_locals(self):
         vm = vertex_metrics(dg([("a.onion", "b.onion", 1)]))

@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.stats import spearmanr
+from scipy.stats import rankdata, spearmanr
 
 from oniongraph.errors import DataError
 from oniongraph.graphs import ServiceGraph
 from oniongraph.metrics import vertex_metrics
 from oniongraph.stats import (
     LabelSet,
+    _average_ranks,
     gain_report,
     info_gain,
     spearman,
@@ -35,6 +36,12 @@ class TestSpearman:
         y = np.array([2.0, 1.0, 4.0, 4.0, 4.0, 6.0, 5.0, 9.0, 9.0, 3.0])
         expected = spearmanr(x, y).statistic
         assert spearman(x, y) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_average_ranks_equal_scipy_rankdata_exactly(self, seed):
+        # tied ranks are half-integers, so they must come out bit-identical
+        x = np.random.default_rng(seed).integers(0, 12, size=60).astype(float)
+        np.testing.assert_array_equal(_average_ranks(x), rankdata(x, method="average"))
 
     def test_constant_vector_is_nan(self):
         assert math.isnan(spearman(np.ones(5), np.arange(5.0)))
