@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csgraph
 
 from .errors import DataError
 from .graphs import ServiceGraph
@@ -38,63 +39,11 @@ class BowTieAssignment:
         }
 
 
-def _strongly_connected_components(g: ServiceGraph) -> list[np.ndarray]:
-    """Kosaraju with iterative DFS; components as sorted index arrays."""
-    n = g.N
-    indptr, indices, _ = g.successors_csr()
-    rindptr, rindices, _ = g.predecessors_csr()
-
-    visited = np.zeros(n, dtype=bool)
-    finish_order: list[int] = []
-    for start in range(n):
-        if visited[start]:
-            continue
-        stack = [(start, 0)]
-        visited[start] = True
-        while stack:
-            u, ptr = stack.pop()
-            nbrs = indices[indptr[u] : indptr[u + 1]]
-            advanced = False
-            while ptr < nbrs.size:
-                v = int(nbrs[ptr])
-                ptr += 1
-                if not visited[v]:
-                    visited[v] = True
-                    stack.append((u, ptr))
-                    stack.append((v, 0))
-                    advanced = True
-                    break
-            if not advanced:
-                finish_order.append(u)
-
-    comp = np.full(n, -1, dtype=np.int64)
-    current = 0
-    for u in reversed(finish_order):
-        if comp[u] >= 0:
-            continue
-        comp[u] = current
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            for v in rindices[rindptr[x] : rindptr[x + 1]]:
-                if comp[v] < 0:
-                    comp[v] = current
-                    stack.append(int(v))
-        current += 1
-    return [np.flatnonzero(comp == c) for c in range(current)]
-
-
-def _reachable_from(indptr, indices, seeds: np.ndarray, n: int) -> np.ndarray:
-    seen = np.zeros(n, dtype=bool)
-    seen[seeds] = True
-    stack = seeds.tolist()
-    while stack:
-        u = stack.pop()
-        for v in indices[indptr[u] : indptr[u + 1]]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(int(v))
-    return seen
+def _reachable_from(a, seeds: np.ndarray) -> np.ndarray:
+    """Mask of the vertices reachable in `a` from any seed (seeds included)."""
+    if not seeds.size:
+        return np.zeros(a.shape[0], dtype=bool)
+    return np.isfinite(csgraph.dijkstra(a, indices=seeds, min_only=True, unweighted=True))
 
 
 def bowtie_decompose(g: ServiceGraph) -> BowTieAssignment:
@@ -107,30 +56,23 @@ def bowtie_decompose(g: ServiceGraph) -> BowTieAssignment:
     if g.N == 0:
         raise DataError("empty graph")
     n = g.N
-    sccs = _strongly_connected_components(g)
-    sccs.sort(key=lambda m: (-m.size, int(m.min())))
-    lscc = sccs[0]
-
-    indptr, indices, _ = g.successors_csr()
-    rindptr, rindices, _ = g.predecessors_csr()
-
-    in_lscc = np.zeros(n, dtype=bool)
-    in_lscc[lscc] = True
-    from_lscc = _reachable_from(indptr, indices, lscc, n)
-    to_lscc = _reachable_from(rindptr, rindices, lscc, n)
+    a = g.adjacency()
+    reverse = a.T.tocsr()
+    _, label = csgraph.connected_components(a, directed=True, connection="strong")
+    # every label 0..k-1 occurs, so `first[c]` is the smallest vertex of
+    # component c; the LSCC is the largest component, then the earliest
+    first = np.unique(label, return_index=True)[1]
+    in_lscc = label == np.lexsort((first, -np.bincount(label)))[0]
+    lscc = np.flatnonzero(in_lscc)
+    from_lscc = _reachable_from(a, lscc)
+    to_lscc = _reachable_from(reverse, lscc)
 
     out_mask = from_lscc & ~in_lscc
     in_mask = to_lscc & ~in_lscc
     rest = ~(in_lscc | out_mask | in_mask)
 
-    in_seeds = np.flatnonzero(in_mask)
-    out_seeds = np.flatnonzero(out_mask)
-    from_in = (
-        _reachable_from(indptr, indices, in_seeds, n) if in_seeds.size else np.zeros(n, bool)
-    )
-    to_out = (
-        _reachable_from(rindptr, rindices, out_seeds, n) if out_seeds.size else np.zeros(n, bool)
-    )
+    from_in = _reachable_from(a, np.flatnonzero(in_mask))
+    to_out = _reachable_from(reverse, np.flatnonzero(out_mask))
 
     labels = np.empty(n, dtype=object)
     labels[in_lscc] = "LSCC"

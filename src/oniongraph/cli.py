@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import math
 import os
@@ -277,7 +278,6 @@ def run_pipeline(config: RunConfig) -> dict:
                 )
             pages_by_snap[snap] = pages
             summaries.update(summarize_services(pages))
-        import io
 
         buf = io.StringIO()
         write_summary_csv(summaries, buf)
@@ -469,8 +469,6 @@ def _cmd_ingest(args) -> int:
     pages = _load_pages(args.pages)
     summaries = summarize_services(pages)
     os.makedirs(args.out_dir, exist_ok=True)
-    import io
-
     buf = io.StringIO()
     write_summary_csv(summaries, buf)
     atomic_write_text(os.path.join(args.out_dir, "summaries.csv"), buf.getvalue())
@@ -532,8 +530,6 @@ def _cmd_metrics(args) -> int:
     lcr = _lcratio_from_summaries_csv(args.summaries) if args.summaries else None
     vm = vertex_metrics(target, lcratio_by_service=lcr,
                         weighted_rank=args.weighted_rank == "on")
-    import io
-
     buf = io.StringIO()
     write_vertex_metrics_csv(vm, buf)
     atomic_write_text(args.vertex_csv, buf.getvalue())
@@ -580,8 +576,6 @@ def _cmd_fit(args) -> int:
 def _cmd_communities(args) -> int:
     g = read_graph_file(args.graph)
     part = louvain(g, seed=args.seed_louvain)
-    import io
-
     buf = io.StringIO()
     write_partition_csv(part, buf)
     atomic_write_text(args.out, buf.getvalue())
@@ -616,8 +610,6 @@ def _cmd_stats(args) -> int:
     if args.stats_mode == "corr":
         with open(args.vertex_csv, "r", encoding="utf-8") as fh:
             vm = read_vertex_metrics_csv(fh)
-        import io
-
         buf = io.StringIO()
         spearman_matrix(vm).write_csv(buf)
         atomic_write_text(args.out, buf.getvalue())
@@ -631,8 +623,6 @@ def _cmd_stats(args) -> int:
             vm = read_vertex_metrics_csv(fh)
         with open(args.labels, "r", encoding="utf-8") as fh:
             labels = LabelSet.from_csv(fh)
-        import io
-
         buf = io.StringIO()
         gain_report(vm, labels).write_csv(buf)
         atomic_write_text(args.out, buf.getvalue())

@@ -9,6 +9,7 @@ sorted, so equal graphs have identical representations.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -40,7 +41,6 @@ class ServiceGraph:
         "_index",
         "_succ",
         "_pred",
-        "_edge_key_set",
     )
 
     def __init__(self, directed: bool, vertices, edge_src, edge_dst, edge_weight):
@@ -52,9 +52,36 @@ class ServiceGraph:
         self._index: dict[str, int] | None = None
         self._succ = None
         self._pred = None
-        self._edge_key_set: set[tuple[int, int]] | None = None
 
     # -- construction -------------------------------------------------
+
+    @classmethod
+    def from_arrays(
+        cls, directed: bool, vertices: tuple[str, ...], src, dst, weight
+    ) -> "ServiceGraph":
+        """Build a graph from a sorted, duplicate-free vertex tuple and
+        parallel arrays of edge source index, target index (positions in
+        that tuple) and weight.
+
+        Raises DataError on self-loops, non-positive weights, or duplicate
+        edges (after canonicalization for undirected graphs).
+        """
+        src, dst, weight = (np.asarray(a, dtype=np.int64) for a in (src, dst, weight))
+        loops = np.flatnonzero(src == dst)
+        if loops.size:
+            raise DataError(f"self-loop on {vertices[src[loops[0]]]!r} is not allowed")
+        bad = np.flatnonzero(weight < 1)
+        if bad.size:
+            u, v, w = vertices[src[bad[0]]], vertices[dst[bad[0]]], weight[bad[0]]
+            raise DataError(f"edge ({u!r}, {v!r}) has non-positive weight {w}")
+        lo, hi = (src, dst) if directed else (np.minimum(src, dst), np.maximum(src, dst))
+        order = np.lexsort((hi, lo))
+        lo, hi = lo[order], hi[order]
+        dup = np.flatnonzero((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1]))
+        if dup.size:
+            i = order[dup[0] + 1]
+            raise DataError(f"duplicate edge ({vertices[src[i]]!r}, {vertices[dst[i]]!r})")
+        return cls(directed, vertices, lo, hi, weight[order])
 
     @classmethod
     def from_edges(
@@ -69,32 +96,16 @@ class ServiceGraph:
         DataError on self-loops, non-positive weights, or duplicate edges
         (after canonicalization for undirected graphs).
         """
-        weight_map: dict[tuple[str, str], int] = {}
-        vertex_set: set[str] = set(isolated_vertices)
+        sources, targets, weights = [], [], []
         for edge in edges:
             if len(edge) == 2:
                 u, v, w = edge[0], edge[1], 1
             else:
                 u, v, w = edge
-            if u == v:
-                raise DataError(f"self-loop on {u!r} is not allowed")
-            w = int(w)
-            if w < 1:
-                raise DataError(f"edge ({u!r}, {v!r}) has non-positive weight {w}")
-            key = (u, v) if directed or u <= v else (v, u)
-            if key in weight_map:
-                raise DataError(f"duplicate edge ({u!r}, {v!r})")
-            weight_map[key] = w
-            vertex_set.add(u)
-            vertex_set.add(v)
-        vertices = tuple(sorted(vertex_set))
-        index = {vid: i for i, vid in enumerate(vertices)}
-        if weight_map:
-            triples = sorted((index[u], index[v], w) for (u, v), w in weight_map.items())
-            src, dst, wgt = zip(*triples)
-        else:
-            src, dst, wgt = (), (), ()
-        return cls(directed, vertices, src, dst, wgt)
+            sources.append(u)
+            targets.append(v)
+            weights.append(int(w))
+        return _from_ids(directed, sources, targets, weights, isolated_vertices)
 
     # -- basic accessors ----------------------------------------------
 
@@ -111,19 +122,6 @@ class ServiceGraph:
         if self._index is None:
             self._index = {vid: i for i, vid in enumerate(self.vertices)}
         return self._index
-
-    def edge_keys(self) -> set[tuple[int, int]]:
-        if self._edge_key_set is None:
-            self._edge_key_set = set(zip(self.edge_src.tolist(), self.edge_dst.tolist()))
-        return self._edge_key_set
-
-    def has_edge_ids(self, u: str, v: str) -> bool:
-        iu, iv = self.index.get(u), self.index.get(v)
-        if iu is None or iv is None:
-            return False
-        if not self.directed and iu > iv:
-            iu, iv = iv, iu
-        return (iu, iv) in self.edge_keys()
 
     def edge_weight_map(self) -> dict[tuple[str, str], int]:
         """Edges keyed by id pair (canonical order for undirected graphs)."""
@@ -216,15 +214,46 @@ class ServiceGraph:
         unknown = keep.difference(self.vertices)
         if unknown:
             raise UsageError(f"unknown vertices: {sorted(unknown)[:3]}...")
-        keep_idx = np.zeros(self.N, dtype=bool)
-        for vid in keep:
-            keep_idx[self.index[vid]] = True
-        mask = keep_idx[self.edge_src] & keep_idx[self.edge_dst]
-        edges = (
-            (self.vertices[s], self.vertices[d], int(w))
-            for s, d, w in zip(self.edge_src[mask], self.edge_dst[mask], self.edge_weight[mask])
+        mask = np.zeros(self.N, dtype=bool)
+        mask[[self.index[vid] for vid in keep]] = True
+        return _induced(
+            self.directed, self.vertices, mask, self.edge_src, self.edge_dst, self.edge_weight
         )
-        return ServiceGraph.from_edges(self.directed, edges, isolated_vertices=keep)
+
+
+def _lookup(vertices: tuple[str, ...], *id_lists) -> list[np.ndarray]:
+    """Positions in `vertices` of the ids of each list, as index arrays."""
+    index = {vid: i for i, vid in enumerate(vertices)}
+    return [np.fromiter(map(index.__getitem__, ids), np.int64, len(ids)) for ids in id_lists]
+
+
+def _from_ids(directed, sources, targets, weights, isolated=()) -> ServiceGraph:
+    """Graph from parallel lists of source ids, target ids and weights."""
+    vertices = tuple(sorted(set(sources).union(targets, isolated)))
+    src, dst = _lookup(vertices, sources, targets)
+    return ServiceGraph.from_arrays(directed, vertices, src, dst, weights)
+
+
+def _induced(directed, vertices, mask, src, dst, weight) -> ServiceGraph:
+    """Graph on the vertices where `mask` holds, with the edges whose
+    endpoints both hold; vertex indices are renumbered in order."""
+    renumber = np.cumsum(mask) - 1
+    kept = mask[src] & mask[dst]
+    return ServiceGraph.from_arrays(
+        directed,
+        tuple(compress(vertices, mask.tolist())),
+        renumber[src[kept]],
+        renumber[dst[kept]],
+        weight[kept],
+    )
+
+
+def _edge_induced(directed, vertices, src, dst, weight) -> ServiceGraph:
+    """Graph on the edges given, dropping every vertex none of them touches."""
+    mask = np.zeros(len(vertices), dtype=bool)
+    mask[src] = True
+    mask[dst] = True
+    return _induced(directed, vertices, mask, src, dst, weight)
 
 
 # -- builders -----------------------------------------------------------
@@ -252,16 +281,21 @@ def build_dsg(pages: Sequence[PageRecord], snapshot_id: str | None = None) -> Se
         snapshot_pages = [p for p in pages if p.snapshot_id == snapshot_id]
 
     crawled = {p.service_id for p in snapshot_pages}
-    weights: dict[tuple[str, str], int] = {}
+    linked = {t for p in snapshot_pages for t in p.out_links}
+    onion = {t for t in linked if is_onion_id(t)}
+    sources: list[str] = []
+    targets: list[str] = []
     for page in snapshot_pages:
-        src = page.service_id
-        for target in page.out_links:
-            if target == src or not is_onion_id(target):
-                continue
-            key = (src, target)
-            weights[key] = weights.get(key, 0) + 1
-    edges = ((u, v, w) for (u, v), w in weights.items())
-    return ServiceGraph.from_edges(True, edges, isolated_vertices=crawled)
+        kept = [t for t in page.out_links if t in onion and t != page.service_id]
+        sources.extend([page.service_id] * len(kept))
+        targets.extend(kept)
+    vertices = tuple(sorted(crawled.union(targets)))
+    n = len(vertices)
+    src, dst = _lookup(vertices, sources, targets)
+    # one edge per distinct (source, target) key, weighted by its link count
+    keys, counts = np.unique(src * n + dst, return_counts=True)
+    src, dst = np.divmod(keys, max(n, 1))
+    return ServiceGraph.from_arrays(True, vertices, src, dst, counts)
 
 
 def to_usg(dsg: ServiceGraph) -> ServiceGraph:
@@ -273,13 +307,17 @@ def to_usg(dsg: ServiceGraph) -> ServiceGraph:
     """
     if not dsg.directed:
         raise UsageError("to_usg expects a directed graph")
-    keys = dsg.edge_keys()
-    wmap = {(int(s), int(d)): int(w) for s, d, w in zip(dsg.edge_src, dsg.edge_dst, dsg.edge_weight)}
-    edges = []
-    for (s, d) in keys:
-        if s < d and (d, s) in keys:
-            edges.append((dsg.vertices[s], dsg.vertices[d], min(wmap[(s, d)], wmap[(d, s)])))
-    return ServiceGraph.from_edges(False, edges)
+    src, dst, weight = dsg.edge_src, dsg.edge_dst, dsg.edge_weight
+    # edges are sorted by (src, dst), so their keys are sorted too; the
+    # sentinel gives a reverse key past the last edge something to miss
+    keys = np.append(src * dsg.N + dst, -1)
+    reverse_keys = dst * dsg.N + src
+    rev = np.searchsorted(keys[:-1], reverse_keys)
+    mutual = (src < dst) & (keys[rev] == reverse_keys)
+    rev = rev[mutual]
+    return _edge_induced(
+        False, dsg.vertices, src[mutual], dst[mutual], np.minimum(weight[mutual], weight[rev])
+    )
 
 
 def _check_same_directedness(graphs: Sequence[ServiceGraph]) -> bool:
@@ -289,19 +327,33 @@ def _check_same_directedness(graphs: Sequence[ServiceGraph]) -> bool:
     return kinds.pop()
 
 
+def _combine(graphs: list[ServiceGraph], reduce: np.ufunc, min_count: int) -> ServiceGraph:
+    """Edge-induced graph of the edges found in at least `min_count` inputs
+    (matched on endpoint ids), each weighted by `reduce` over its inputs."""
+    directed = _check_same_directedness(graphs)
+    vertices = tuple(sorted(set().union(*(g.vertices for g in graphs))))
+    n = len(vertices)
+    # both vocabularies are sorted, so the renumbering keeps canonical edge order
+    joints = _lookup(vertices, *(g.vertices for g in graphs))
+    keys = np.concatenate([j[g.edge_src] * n + j[g.edge_dst] for j, g in zip(joints, graphs)])
+    weights = np.concatenate([g.edge_weight for g in graphs])
+    order = np.argsort(keys, kind="stable")
+    keys, weights = keys[order], weights[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    counts = np.diff(starts, append=keys.size)
+    kept = counts >= min_count
+    weights = reduce.reduceat(weights, starts)[kept] if starts.size else weights
+    src, dst = np.divmod(keys[starts][kept], max(n, 1))
+    return _edge_induced(directed, vertices, src, dst, weights)
+
+
 def intersect(graphs: Sequence[ServiceGraph]) -> ServiceGraph:
     """Edge-induced intersection: edges present in every input (matched on
     endpoints, not weight), each with the minimum available weight."""
     graphs = list(graphs)
     if len(graphs) < 2:
         raise UsageError("intersection needs at least 2 graphs")
-    directed = _check_same_directedness(graphs)
-    maps = [g.edge_weight_map() for g in graphs]
-    common = set(maps[0])
-    for m in maps[1:]:
-        common &= set(m)
-    edges = ((u, v, min(m[(u, v)] for m in maps)) for (u, v) in common)
-    return ServiceGraph.from_edges(directed, edges)
+    return _combine(graphs, np.minimum, len(graphs))
 
 
 def union(graphs: Sequence[ServiceGraph]) -> ServiceGraph:
@@ -310,14 +362,7 @@ def union(graphs: Sequence[ServiceGraph]) -> ServiceGraph:
     graphs = list(graphs)
     if not graphs:
         raise UsageError("union needs at least 1 graph")
-    directed = _check_same_directedness(graphs)
-    merged: dict[tuple[str, str], int] = {}
-    for g in graphs:
-        for key, w in g.edge_weight_map().items():
-            if key not in merged or w > merged[key]:
-                merged[key] = w
-    edges = ((u, v, w) for (u, v), w in merged.items())
-    return ServiceGraph.from_edges(directed, edges)
+    return _combine(graphs, np.maximum, 1)
 
 
 def weakly_connected_components(g: ServiceGraph) -> list[np.ndarray]:
@@ -340,34 +385,54 @@ def giant_wcc(g: ServiceGraph) -> ServiceGraph:
     """
     if g.N == 0:
         raise DataError("empty graph has no giant component")
-    components = weakly_connected_components(g)
-    giant = components[0]
-    return g.subgraph(g.vertices[i] for i in giant)
+    mask = np.zeros(g.N, dtype=bool)
+    mask[weakly_connected_components(g)[0]] = True
+    return _induced(g.directed, g.vertices, mask, g.edge_src, g.edge_dst, g.edge_weight)
 
 
 # -- file format ----------------------------------------------------------
 #
 # Header line "# directed" or "# undirected", optional "# vertex <id>"
 # lines for isolated vertices, then one edge per line:
-# "source<TAB>target<TAB>weight". Round-trips losslessly.
+# "source<TAB>target<TAB>weight". Round-trips losslessly for every graph
+# write_graph_file accepts.
 
 
 def write_graph_file(g: ServiceGraph, path) -> None:
-    isolated = set(range(g.N))
-    isolated -= set(g.edge_src.tolist())
-    isolated -= set(g.edge_dst.tolist())
+    """Write `g` as a graph TSV. Raises DataError, before the file is
+    opened, on the first vertex id the format cannot carry: one holding a
+    tab, CR or LF, an edge source starting with "#", or an isolated id that
+    is empty or has surrounding whitespace."""
+    isolated = np.ones(g.N, dtype=bool)
+    isolated[g.edge_src] = False
+    isolated[g.edge_dst] = False
+    is_source = np.zeros(g.N, dtype=bool)
+    is_source[g.edge_src] = True
+    for vid, lone, source in zip(g.vertices, isolated.tolist(), is_source.tolist()):
+        if (
+            "\t" in vid
+            or "\n" in vid
+            or "\r" in vid
+            or (source and vid.startswith("#"))
+            or (lone and (not vid or vid != vid.strip()))
+        ):
+            raise DataError(f"vertex id {vid!r} cannot be stored in a graph file")
+    names = g.vertices
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# directed\n" if g.directed else "# undirected\n")
-        for i in sorted(isolated):
-            fh.write(f"# vertex {g.vertices[i]}\n")
-        for s, d, w in zip(g.edge_src, g.edge_dst, g.edge_weight):
-            fh.write(f"{g.vertices[s]}\t{g.vertices[d]}\t{int(w)}\n")
+        fh.writelines(f"# vertex {names[i]}\n" for i in np.flatnonzero(isolated).tolist())
+        fh.writelines(
+            f"{names[s]}\t{names[d]}\t{w}\n"
+            for s, d, w in zip(g.edge_src.tolist(), g.edge_dst.tolist(), g.edge_weight.tolist())
+        )
 
 
 def read_graph_file(path) -> ServiceGraph:
     directed: bool | None = None
     isolated: list[str] = []
-    edges: list[tuple[str, str, int]] = []
+    sources: list[str] = []
+    targets: list[str] = []
+    weights: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -390,10 +455,11 @@ def read_graph_file(path) -> ServiceGraph:
             if len(parts) != 3:
                 raise DataError(f"{path}: expected 'src\\ttarget\\tweight' at line {line_no}")
             try:
-                w = int(parts[2])
+                weights.append(int(parts[2]))
             except ValueError as exc:
                 raise DataError(f"{path}: bad weight at line {line_no}: {parts[2]!r}") from exc
-            edges.append((parts[0], parts[1], w))
+            sources.append(parts[0])
+            targets.append(parts[1])
     if directed is None:
         raise DataError(f"{path}: missing '# directed|undirected' header")
-    return ServiceGraph.from_edges(directed, edges, isolated_vertices=isolated)
+    return _from_ids(directed, sources, targets, weights, isolated)

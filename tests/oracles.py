@@ -231,3 +231,74 @@ def bowtie_oracle(g):
     for v in out_set:
         classes[v] = "OUT"
     return {g.vertices[v]: classes[v] for v in range(n)}
+
+
+# -- graph construction and set algebra, on id-keyed dicts ------------------
+#
+# Each oracle returns (sorted vertex tuple, {(u, v): weight}) in the shape of
+# (g.vertices, g.edge_weight_map()).
+
+
+def _touched(edges):
+    return tuple(sorted({x for pair in edges for x in pair}))
+
+
+def dsg_oracle(pages):
+    """Count the links of each (service, onion target) pair, dropping
+    self-links and targets outside the onion namespace."""
+    vertices = {p.service_id for p in pages}
+    weights = {}
+    for p in pages:
+        for t in p.out_links:
+            if t != p.service_id and t.endswith(".onion") and len(t) > len(".onion"):
+                weights[(p.service_id, t)] = weights.get((p.service_id, t), 0) + 1
+                vertices.add(t)
+    return tuple(sorted(vertices)), weights
+
+
+def union_oracle(graphs):
+    merged = {}
+    for g in graphs:
+        for key, w in g.edge_weight_map().items():
+            merged[key] = max(w, merged.get(key, w))
+    return _touched(merged), merged
+
+
+def intersect_oracle(graphs):
+    maps = [g.edge_weight_map() for g in graphs]
+    common = set(maps[0]).intersection(*maps[1:])
+    edges = {key: min(m[key] for m in maps) for key in common}
+    return _touched(edges), edges
+
+
+def usg_oracle(g):
+    wmap = g.edge_weight_map()
+    edges = {
+        (u, v): min(w, wmap[(v, u)]) for (u, v), w in wmap.items() if u < v and (v, u) in wmap
+    }
+    return _touched(edges), edges
+
+
+def induced_oracle(g, keep):
+    keep = set(keep)
+    edges = {(u, v): w for (u, v), w in g.edge_weight_map().items() if u in keep and v in keep}
+    return tuple(sorted(keep)), edges
+
+
+def giant_wcc_oracle(g):
+    """Label propagation to a fixpoint on the undirected view; the largest
+    component wins, ties going to the one with the smallest id."""
+    label = {v: v for v in g.vertices}
+    changed = True
+    while changed:
+        changed = False
+        for u, v in g.edge_weight_map():
+            lo = min(label[u], label[v])
+            for x in (u, v):
+                if label[x] != lo:
+                    label[x] = lo
+                    changed = True
+    members = {}
+    for v in g.vertices:
+        members.setdefault(label[v], []).append(v)
+    return induced_oracle(g, min(members.values(), key=lambda m: (-len(m), m[0])))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,16 @@ from oniongraph.graphs import (
     write_graph_file,
 )
 from oniongraph.records import PageRecord
+
+from oracles import (
+    dsg_oracle,
+    giant_wcc_oracle,
+    induced_oracle,
+    intersect_oracle,
+    union_oracle,
+    usg_oracle,
+    vid,
+)
 
 
 def page(service, links, snapshot="S1", path="/", depth=0, chars=100):
@@ -307,3 +319,136 @@ def test_graph_file_missing_header(tmp_path):
     path.write_text("a.onion\tb.onion\t1\n")
     with pytest.raises(DataError, match="header"):
         read_graph_file(path)
+
+
+def test_graph_file_round_trips_awkward_ids(tmp_path):
+    g = dg([("a b.onion", "#b.onion", 2), (" c.onion ", "a b.onion", 1)], isolated=["#x", "y z"])
+    write_graph_file(g, tmp_path / "g.tsv")
+    assert read_graph_file(tmp_path / "g.tsv") == g
+
+
+@pytest.mark.parametrize(
+    "edges, isolated, bad",
+    [
+        ([("#a.onion", "b.onion", 1)], [], "#a.onion"),
+        ([("a.onion", "b.onion", 1)], ["c.onion "], "c.onion "),
+        ([("a.onion", "b.onion", 1)], ["z.onion ", " y.onion"], " y.onion"),
+        ([("a.onion", "b.onion", 1)], [""], ""),
+        ([("a\tx.onion", "b.onion", 1)], [], "a\tx.onion"),
+        ([("a.onion", "b\nx.onion", 1)], [], "b\nx.onion"),
+        ([("a.onion", "b.onion", 1)], ["c\rx.onion"], "c\rx.onion"),
+    ],
+)
+def test_graph_file_rejects_ids_it_cannot_carry(tmp_path, edges, isolated, bad):
+    path = tmp_path / "g.tsv"
+    path.write_text("previous\n")
+    with pytest.raises(DataError, match=re.escape(repr(bad))):
+        write_graph_file(dg(edges, isolated), path)
+    assert path.read_text() == "previous\n"
+    with pytest.raises(DataError):
+        write_graph_file(dg(edges, isolated), tmp_path / "new.tsv")
+    assert not (tmp_path / "new.tsv").exists()
+
+
+@pytest.mark.parametrize(
+    "directed, edges, match",
+    [
+        (True, [("a.onion", "b.onion", 1), ("c.onion", "c.onion", 1)], "self-loop on 'c.onion'"),
+        (False, [("c.onion", "c.onion", 2)], "self-loop on 'c.onion'"),
+        (True, [("a.onion", "b.onion", 0)], r"\('a.onion', 'b.onion'\) has non-positive weight 0"),
+        (False, [("b.onion", "a.onion", -2)], r"\('b.onion', 'a.onion'\) has non-positive weight -2"),
+        (True, [("a.onion", "b.onion", 1), ("a.onion", "b.onion", 2)], "duplicate edge"),
+        (
+            False,
+            [("a.onion", "b.onion", 1), ("b.onion", "a.onion", 2)],
+            r"duplicate edge \('b.onion', 'a.onion'\)",
+        ),
+    ],
+)
+def test_bad_edges_rejected_by_from_edges_and_reader(tmp_path, directed, edges, match):
+    with pytest.raises(DataError, match=match):
+        ServiceGraph.from_edges(directed, edges)
+    path = tmp_path / "bad.tsv"
+    rows = "".join(f"{u}\t{v}\t{w}\n" for u, v, w in edges)
+    path.write_text(("# directed\n" if directed else "# undirected\n") + rows)
+    with pytest.raises(DataError, match=match):
+        read_graph_file(path)
+
+
+# -- array transforms against the dict oracles ---------------------------
+
+
+def assert_matches(g, expected):
+    vertices, edges = expected
+    assert g.vertices == vertices
+    assert g.edge_weight_map() == edges
+    keys = list(zip(g.edge_src.tolist(), g.edge_dst.tolist()))
+    assert keys == sorted(keys)
+    assert g.directed or all(s < d for s, d in keys)
+
+
+def random_graph(rng, directed):
+    """Graph on a random subset of a shared id pool (so inputs differ in
+    their vertex sets), isolated vertices included; a third of the draws are
+    edgeless, and dense directed draws hold reciprocal edges. Undirected
+    edges are given in random orientation."""
+    ids = [vid(i) for i in range(14) if rng.random() < 0.7]
+    p = float(rng.choice([0.0, 0.15, 0.4]))
+    edges = []
+    for a, u in enumerate(ids):
+        for v in ids[a + 1 :]:
+            for s, t in ((u, v), (v, u)) if directed else [(u, v)[:: rng.choice([1, -1])]]:
+                if rng.random() < p:
+                    edges.append((s, t, int(rng.integers(1, 6))))
+    return ServiceGraph.from_edges(directed, edges, isolated_vertices=ids)
+
+
+@pytest.mark.parametrize("directed", [True, False])
+@pytest.mark.parametrize("seed", range(10))
+def test_transforms_match_dict_oracles(seed, directed):
+    rng = np.random.default_rng(seed)
+    gs = [random_graph(rng, directed) for _ in range(3)]
+    for k in (1, 2, 3):
+        assert_matches(union(gs[:k]), union_oracle(gs[:k]))
+    for k in (2, 3):
+        assert_matches(intersect(gs[:k]), intersect_oracle(gs[:k]))
+    for g in gs:
+        if directed:
+            assert_matches(to_usg(g), usg_oracle(g))
+        if g.N:
+            assert_matches(giant_wcc(g), giant_wcc_oracle(g))
+        keep = [v for v in g.vertices if rng.random() < 0.5]
+        assert_matches(g.subgraph(keep), induced_oracle(g, keep))
+
+
+def test_transforms_on_edgeless_and_isolated_inputs():
+    empty = dg([], isolated=["a.onion", "b.onion", "z.onion"])
+    g = dg([("a.onion", "b.onion", 2), ("b.onion", "a.onion", 3)], isolated=["z.onion"])
+    u = ug([("b.onion", "a.onion", 4)], isolated=["c.onion", "z.onion"])
+    assert_matches(union([empty]), union_oracle([empty]))
+    assert_matches(union([empty, g]), union_oracle([empty, g]))
+    assert_matches(intersect([empty, g]), intersect_oracle([empty, g]))
+    assert_matches(intersect([g, g]), intersect_oracle([g, g]))
+    assert_matches(to_usg(empty), usg_oracle(empty))
+    assert_matches(to_usg(g), usg_oracle(g))
+    for graph in (empty, g, u):
+        assert_matches(giant_wcc(graph), giant_wcc_oracle(graph))
+        for keep in ([], ["z.onion"], ["a.onion", "z.onion"]):
+            assert_matches(graph.subgraph(keep), induced_oracle(graph, keep))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_build_dsg_matches_link_count_oracle(seed):
+    rng = np.random.default_rng(seed)
+    services = [vid(i) for i in range(10)]
+    # uncrawled onion targets, surface-web targets and a bare ".onion"
+    targets = services + [vid(i) for i in range(10, 14)] + ["example.com", ".onion", "x.org"]
+    pages = [
+        page(
+            services[int(rng.integers(0, len(services)))],
+            [targets[int(j)] for j in rng.integers(0, len(targets), size=int(rng.integers(0, 12)))],
+            path=f"/{k}",
+        )
+        for k in range(25)
+    ]
+    assert_matches(build_dsg(pages), dsg_oracle(pages))
