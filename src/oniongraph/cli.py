@@ -3,9 +3,13 @@
 Subcommands (`ingest`, `build`, `metrics`, `fit`, `communities`, `compare`,
 `bowtie`, `stats`) each run standalone on intermediate files so expensive
 stages cache naturally; `run` executes the whole pipeline from a JSON
-config into an output directory with a content-hashed manifest. Outputs
-are written atomically (temp file + rename) and runs with identical
-config and seeds are byte-identical.
+config into an output directory with a content-hashed manifest; both share
+one implementation per stage. Subcommand outputs are written atomically
+(temp file + rename). `run` writes into a sibling staging directory that
+replaces `out_dir` only when every stage succeeds, so a failed run leaves
+`out_dir` untouched; an `out_dir` that is neither absent, empty, nor an
+earlier run's (holding `manifest.json`) is refused with exit code 1.
+Runs with identical config and seeds are byte-identical.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 Config defaults can also come from ONIONGRAPH_* environment variables
@@ -15,12 +19,15 @@ Config defaults can also come from ONIONGRAPH_* environment variables
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import io
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -60,7 +67,14 @@ from .records import (
     summarize_services,
     write_summary_csv,
 )
-from .stats import LabelSet, gain_report, spearman_matrix, tag_prevalence
+from .stats import (
+    CorrelationMatrix,
+    GainTable,
+    LabelSet,
+    gain_report,
+    spearman_matrix,
+    tag_prevalence,
+)
 
 ENV_PREFIX = "ONIONGRAPH_"
 
@@ -133,13 +147,16 @@ class RunConfig:
         return cls(**raw)
 
     @classmethod
-    def from_file(cls, path) -> "RunConfig":
+    def from_file(cls, path, defaults=None) -> "RunConfig":
+        """Load a JSON config; `defaults` fill only the keys the file leaves out."""
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}: invalid JSON config ({exc.msg})") from exc
-        return cls.from_dict(raw)
+        if not isinstance(raw, dict):
+            raise DataError(f"{path}: config must be a JSON object")
+        return cls.from_dict({**(defaults or {}), **raw})
 
     def apply_override(self, assignment: str) -> None:
         """Apply a --set key=value override (dotted keys reach into maps)."""
@@ -182,6 +199,15 @@ class RunConfig:
             raise UsageError(f"unknown component policy {self.component_policy!r}")
         if self.k_hubs < 1:
             raise UsageError("k_hubs must be >= 1")
+        # a run replaces out_dir wholesale (as run_pipeline resolves it), so it must own it
+        out_dir = os.path.abspath(self.out_dir)
+        if os.path.islink(out_dir) or (os.path.lexists(out_dir) and not os.path.isdir(out_dir)):
+            raise UsageError(f"out_dir {out_dir} is not a directory")
+        if os.path.isdir(out_dir):
+            entries = os.listdir(out_dir)
+            if entries and "manifest.json" not in entries:
+                raise UsageError(f"out_dir {out_dir} is not empty and holds no "
+                                 "manifest.json of an earlier run")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -207,62 +233,129 @@ def _env_defaults() -> dict:
     return out
 
 
+# -- stages shared by `run` and the subcommands -------------------------------------
+
+
+def _csv_text(writer, obj) -> str:
+    buf = io.StringIO()
+    writer(obj, buf)
+    return buf.getvalue()
+
+
+def _read_labels(path) -> LabelSet:
+    with open(path, "r", encoding="utf-8") as fh:
+        return LabelSet.from_csv(fh)
+
+
+def _mean_lcratio(pairs) -> dict[str, float]:
+    """Per-service mean of (service, lcratio) pairs (for combined graphs)."""
+    values: dict[str, list[float]] = {}
+    for svc, lcratio in pairs:
+        values.setdefault(svc, []).append(lcratio)
+    return {svc: sum(vals) / len(vals) for svc, vals in values.items()}
+
+
+def _ingest(summaries, persistence: bool) -> dict[str, str]:
+    """File name -> text: the summaries CSV, and the persistence report if asked."""
+    out = {"summaries.csv": _csv_text(write_summary_csv, summaries)}
+    if persistence:
+        out["persistence.json"] = dump_json(persistence_report(summaries).to_dict())
+    return out
+
+
+def _metrics(g: ServiceGraph, component: str, lcratio, weighted_rank: bool,
+             k_hubs: int | None):
+    """Metrics of `g` (or of its giant WCC) as (file suffix -> text, vertex
+    metrics); the hub-reach curve of the giant WCC is included when `k_hubs`
+    is given."""
+    giant = giant_wcc(g)
+    target = giant if component == "giant-wcc" else g
+    texts = {"global.json": dump_json(compute_global_metrics(target).to_dict())}
+    vm = vertex_metrics(target, lcratio_by_service=lcratio, weighted_rank=weighted_rank)
+    texts["vertices.csv"] = _csv_text(write_vertex_metrics_csv, vm)
+    if k_hubs is not None:
+        curve = hub_reach_curve(giant, k=k_hubs)
+        texts["hubreach.json"] = dump_json({"k": k_hubs, "curve": curve})
+    return texts, vm
+
+
+def _fit(degrees, min_tail: int, n_boot: int, seed: int) -> str:
+    """Fit report JSON for the positive entries of `degrees`, with the
+    bootstrap goodness-of-fit fields when `n_boot` > 0."""
+    sample = degrees[degrees > 0]
+    report = fit_report(sample, min_tail=min_tail).to_dict()
+    if n_boot > 0:
+        pl = fit_power_law(sample, min_tail=min_tail)
+        boot = bootstrap_pvalue(sample, pl, n_boot=n_boot, seed=seed, min_tail=min_tail)
+        report["bootstrap_p"] = boot.p_value
+        report["bootstrap_replicates"] = boot.n_replicates
+    return dump_json(report)
+
+
+def _stats(mode: str, vm=None, g=None, labels=None) -> str:
+    """One stats output: "corr" (needs vm), "prevalence" (labels, g) or "gain" (vm, labels)."""
+    if mode == "corr":
+        return _csv_text(CorrelationMatrix.write_csv, spearman_matrix(vm))
+    if mode == "prevalence":
+        return dump_json(tag_prevalence(labels, g).to_dict())
+    return _csv_text(GainTable.write_csv, gain_report(vm, labels))
+
+
 # -- pipeline ----------------------------------------------------------------------
 
 
-class _Workspace:
-    """Tracks files written by a run so a failed stage can clean up."""
-
-    def __init__(self, out_dir: str):
-        self.out_dir = out_dir
-        self.created: list[str] = []
-        os.makedirs(out_dir, exist_ok=True)
-
-    def path(self, rel: str) -> str:
-        full = os.path.join(self.out_dir, rel)
-        os.makedirs(os.path.dirname(full), exist_ok=True)
-        return full
-
-    def write_text(self, rel: str, text: str) -> str:
-        full = self.path(rel)
-        atomic_write_text(full, text)
-        self.created.append(rel)
-        return full
-
-    def discard_all(self) -> None:
-        for rel in self.created:
-            try:
-                os.remove(os.path.join(self.out_dir, rel))
-            except OSError:
-                pass
-        # prune now-empty subdirectories, deepest first
-        for root, dirs, files in os.walk(self.out_dir, topdown=False):
-            if root != self.out_dir and not dirs and not files:
-                try:
-                    os.rmdir(root)
-                except OSError:
-                    pass
-
-
-def _mean_lcratio(summaries) -> dict[str, float]:
-    """Per-service mean of snapshot lcratio values (for combined graphs)."""
-    sums: dict[str, list[float]] = {}
-    for (_, svc), summary in summaries.items():
-        sums.setdefault(svc, []).append(summary.lcratio)
-    return {svc: sum(vals) / len(vals) for svc, vals in sums.items()}
+def _publish(staging: str, out_dir: str) -> None:
+    """Rename `staging` to `out_dir`; a previous run there is moved aside
+    first and removed only once the new run is in place."""
+    # named after the staging directory, whose name mkdtemp made unique
+    head, suffix = staging.rsplit(".staging-", 1)
+    old = f"{head}.old-{suffix}" if os.path.exists(out_dir) else None
+    if old is not None:
+        os.replace(out_dir, old)
+    try:
+        os.replace(staging, out_dir)
+    except BaseException:
+        if old is not None:
+            os.replace(old, out_dir)
+        raise
+    if old is not None:
+        shutil.rmtree(old)
 
 
 def run_pipeline(config: RunConfig) -> dict:
     """Execute every stage and return the manifest (also written to disk).
 
-    Any stage failure removes the partial outputs and raises StageError
+    The run is written into a sibling staging directory that replaces
+    `out_dir` only when every stage has succeeded. A failed stage removes the
+    staging directory, leaves `out_dir` untouched and raises StageError
     naming the stage.
     """
     config.validate()
-    ws = _Workspace(config.out_dir)
+    out_dir = os.path.abspath(config.out_dir)
+    parent, name = os.path.split(out_dir)
+    os.makedirs(parent, exist_ok=True)
+    staging = tempfile.mkdtemp(prefix=f".{name}.staging-", dir=parent)
+    written: list[str] = []
+
+    def path(rel: str) -> str:
+        full = os.path.join(staging, rel)
+        os.makedirs(os.path.dirname(full), exist_ok=True)
+        written.append(rel)
+        return full
+
+    def write(rel: str, text: str) -> None:
+        with open(path(rel), "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+
     skipped: list[dict] = []
     stage = "setup"
     try:
+        # mkdtemp's mode is 0o700; publish with the mode a mkdir would give
+        umask = os.umask(0o022)
+        os.umask(umask)
+        os.chmod(staging, 0o777 & ~umask)
+        labels = _read_labels(config.labels) if config.labels is not None else None
+
         # ingest ------------------------------------------------------------
         stage = "ingest"
         snap_ids = sorted(config.snapshots)
@@ -278,21 +371,16 @@ def run_pipeline(config: RunConfig) -> dict:
                 )
             pages_by_snap[snap] = pages
             summaries.update(summarize_services(pages))
-
-        buf = io.StringIO()
-        write_summary_csv(summaries, buf)
-        ws.write_text("ingest/summaries.csv", buf.getvalue())
-        if len(snap_ids) >= 2:
-            report = persistence_report(summaries)
-            ws.write_text("ingest/persistence.json", dump_json(report.to_dict()))
-        else:
+        for fname, text in _ingest(summaries, persistence=len(snap_ids) >= 2).items():
+            write(f"ingest/{fname}", text)
+        if len(snap_ids) < 2:
             skipped.append({"stage": "ingest.persistence", "reason": "single snapshot"})
 
         per_snapshot_lcrs = {
             snap: {svc: s.lcratio for (sn, svc), s in summaries.items() if sn == snap}
             for snap in snap_ids
         }
-        mean_lcr = _mean_lcratio(summaries)
+        mean_lcr = _mean_lcratio((svc, s.lcratio) for (_, svc), s in summaries.items())
 
         # graphs --------------------------------------------------------------
         stage = "graphs"
@@ -300,56 +388,33 @@ def run_pipeline(config: RunConfig) -> dict:
         lcr_for: dict[str, dict[str, float]] = {}
         dsgs = {snap: build_dsg(pages_by_snap[snap], snap) for snap in snap_ids}
         usgs = {snap: to_usg(dsgs[snap]) for snap in snap_ids}
-        if "directed" in config.directedness:
+        for directedness, prefix, per_snap in (("directed", "dsg", dsgs),
+                                               ("undirected", "usg", usgs)):
+            if directedness not in config.directedness:
+                continue
             if "snapshots" in config.graph_sets:
                 for snap in snap_ids:
-                    graphs[f"dsg_{snap}"] = dsgs[snap]
-                    lcr_for[f"dsg_{snap}"] = per_snapshot_lcrs[snap]
+                    graphs[f"{prefix}_{snap}"] = per_snap[snap]
+                    lcr_for[f"{prefix}_{snap}"] = per_snapshot_lcrs[snap]
             if "intersection" in config.graph_sets and len(snap_ids) >= 2:
-                graphs["dsg_intersection"] = intersect(list(dsgs.values()))
-                lcr_for["dsg_intersection"] = mean_lcr
+                graphs[f"{prefix}_intersection"] = intersect(list(per_snap.values()))
+                lcr_for[f"{prefix}_intersection"] = mean_lcr
             if "union" in config.graph_sets:
-                graphs["dsg_union"] = union(list(dsgs.values()))
-                lcr_for["dsg_union"] = mean_lcr
-        if "undirected" in config.directedness:
-            if "snapshots" in config.graph_sets:
-                for snap in snap_ids:
-                    graphs[f"usg_{snap}"] = usgs[snap]
-                    lcr_for[f"usg_{snap}"] = per_snapshot_lcrs[snap]
-            if "intersection" in config.graph_sets and len(snap_ids) >= 2:
-                graphs["usg_intersection"] = intersect(list(usgs.values()))
-                lcr_for["usg_intersection"] = mean_lcr
-            if "union" in config.graph_sets:
-                graphs["usg_union"] = union(list(usgs.values()))
-                lcr_for["usg_union"] = mean_lcr
+                graphs[f"{prefix}_union"] = union(list(per_snap.values()))
+                lcr_for[f"{prefix}_union"] = mean_lcr
         for name, g in graphs.items():
             if g.N == 0:
                 raise DataError(f"graph {name} is empty")
-            tmp_path = ws.path(f"graphs/{name}.tsv")
-            write_graph_file(g, tmp_path + ".tmp")
-            os.replace(tmp_path + ".tmp", tmp_path)
-            ws.created.append(f"graphs/{name}.tsv")
+            write_graph_file(g, path(f"graphs/{name}.tsv"))
 
         # metrics ---------------------------------------------------------------
         stage = "metrics"
         vms = {}
         for name in sorted(graphs):
-            g = graphs[name]
-            giant = giant_wcc(g)
-            target = giant if config.component_policy == "giant-wcc" else g
-            gm = compute_global_metrics(target)
-            ws.write_text(f"metrics/{name}.global.json", dump_json(gm.to_dict()))
-            vm = vertex_metrics(target, lcratio_by_service=lcr_for[name],
-                                weighted_rank=config.weighted_rank)
-            vms[name] = vm
-            buf = io.StringIO()
-            write_vertex_metrics_csv(vm, buf)
-            ws.write_text(f"metrics/{name}.vertices.csv", buf.getvalue())
-            curve = hub_reach_curve(giant, k=config.k_hubs)
-            ws.write_text(
-                f"metrics/{name}.hubreach.json",
-                dump_json({"k": config.k_hubs, "curve": curve}),
-            )
+            texts, vms[name] = _metrics(graphs[name], config.component_policy, lcr_for[name],
+                                        config.weighted_rank, config.k_hubs)
+            for suffix, text in texts.items():
+                write(f"metrics/{name}.{suffix}", text)
 
         # fits ---------------------------------------------------------------------
         stage = "fit"
@@ -358,130 +423,88 @@ def run_pipeline(config: RunConfig) -> dict:
             kinds = (("in", g.in_degrees()), ("out", g.out_degrees())) if g.directed \
                 else (("degree", g.degrees()),)
             for kind, degrees in kinds:
-                positive = degrees[degrees > 0]
                 try:
-                    rep = fit_report(positive, min_tail=config.fit_min_tail).to_dict()
-                    if config.fit_bootstrap > 0:
-                        pl = fit_power_law(positive, min_tail=config.fit_min_tail)
-                        boot = bootstrap_pvalue(
-                            positive, pl, n_boot=config.fit_bootstrap,
-                            seed=config.seed_fit, min_tail=config.fit_min_tail,
-                        )
-                        rep["bootstrap_p"] = boot.p_value
-                        rep["bootstrap_replicates"] = boot.n_replicates
+                    text = _fit(degrees, config.fit_min_tail, config.fit_bootstrap,
+                                config.seed_fit)
                 except DataError as exc:
-                    rep = {"error": str(exc)}
-                ws.write_text(f"fits/{name}.{kind}.json", dump_json(rep))
+                    text = dump_json({"error": str(exc)})
+                write(f"fits/{name}.{kind}.json", text)
 
         # communities ------------------------------------------------------------------
         stage = "communities"
+        names = sorted(graphs)
         partitions = {}
-        for name in sorted(graphs):
-            part = louvain(graphs[name], seed=config.seed_louvain)
-            partitions[name] = part
-            buf = io.StringIO()
-            write_partition_csv(part, buf)
-            ws.write_text(f"communities/{name}.partition.csv", buf.getvalue())
-        names = sorted(partitions)
-        matrix = []
-        common_counts = []
-        for a in names:
-            row = []
-            crow = []
-            for b in names:
-                score, n_common = ami_on_common(partitions[a], partitions[b])
-                row.append(score)
-                crow.append(n_common)
-            matrix.append(row)
-            common_counts.append(crow)
-        ws.write_text(
-            "communities/ami_matrix.json",
-            dump_json({"graphs": names, "ami": matrix, "common_vertices": common_counts}),
-        )
+        for name in names:
+            partitions[name] = louvain(graphs[name], seed=config.seed_louvain)
+            write(f"communities/{name}.partition.csv",
+                  _csv_text(write_partition_csv, partitions[name]))
+        # the matrix is symmetric, so each pair is scored once and mirrored
+        matrix = [[0.0] * len(names) for _ in names]
+        common_counts = [[0] * len(names) for _ in names]
+        for i, a in enumerate(names):
+            for j in range(i, len(names)):
+                score, n_common = ami_on_common(partitions[a], partitions[names[j]])
+                matrix[i][j] = matrix[j][i] = score
+                common_counts[i][j] = common_counts[j][i] = n_common
+        write("communities/ami_matrix.json",
+              dump_json({"graphs": names, "ami": matrix, "common_vertices": common_counts}))
 
         # bow-tie -------------------------------------------------------------------------
         stage = "bowtie"
-        for name in sorted(graphs):
+        for name in names:
             if graphs[name].directed:
-                ws.write_text(f"bowtie/{name}.json",
-                              dump_json(bowtie_decompose(graphs[name]).to_dict()))
+                write(f"bowtie/{name}.json", dump_json(bowtie_decompose(graphs[name]).to_dict()))
 
         # stats ----------------------------------------------------------------------------
         stage = "stats"
-        labels = None
-        if config.labels is not None:
-            with open(config.labels, "r", encoding="utf-8") as fh:
-                labels = LabelSet.from_csv(fh)
-        for name in sorted(graphs):
-            corr = spearman_matrix(vms[name])
-            buf = io.StringIO()
-            corr.write_csv(buf)
-            ws.write_text(f"stats/{name}.corr.csv", buf.getvalue())
+        for name in names:
+            write(f"stats/{name}.corr.csv", _stats("corr", vms[name]))
             if labels is None:
                 continue
-            try:
-                prev = tag_prevalence(labels, graphs[name])
-                ws.write_text(f"stats/{name}.prevalence.json", dump_json(prev.to_dict()))
-            except DataError as exc:
-                skipped.append({"stage": f"stats.prevalence.{name}", "reason": str(exc)})
-            try:
-                table = gain_report(vms[name], labels)
-                buf = io.StringIO()
-                table.write_csv(buf)
-                ws.write_text(f"stats/{name}.gain.csv", buf.getvalue())
-            except DataError as exc:
-                skipped.append({"stage": f"stats.gain.{name}", "reason": str(exc)})
+            for mode, fname in (("prevalence", f"{name}.prevalence.json"),
+                                ("gain", f"{name}.gain.csv")):
+                try:
+                    write(f"stats/{fname}", _stats(mode, vms[name], graphs[name], labels))
+                except DataError as exc:
+                    skipped.append({"stage": f"stats.{mode}.{name}", "reason": str(exc)})
         if labels is None:
             skipped.append({"stage": "stats.labels", "reason": "no labels configured"})
 
         # manifest ----------------------------------------------------------------------------
         stage = "manifest"
         artifacts = [
-            {"path": rel, "sha256": sha256_file(os.path.join(config.out_dir, rel))}
-            for rel in sorted(ws.created)
+            {"path": rel, "sha256": sha256_file(os.path.join(staging, rel))}
+            for rel in sorted(written)
         ]
         manifest = {
             "config": config.to_dict(),
             "artifacts": artifacts,
             "skipped": sorted(skipped, key=lambda s: s["stage"]),
         }
-        atomic_write_text(ws.path("manifest.json"), dump_json(manifest))
+        write("manifest.json", dump_json(manifest))
+        _publish(staging, out_dir)
         return manifest
-    except OnionGraphError as exc:
-        ws.discard_all()
+    except Exception as exc:
         raise StageError(stage, exc) from exc
-    except Exception as exc:  # pragma: no cover - defensive
-        ws.discard_all()
-        raise StageError(stage, exc) from exc
+    finally:
+        # gone already when the run was published
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 # -- subcommand implementations ----------------------------------------------------
 
 
 def _load_pages(paths):
-    pages = []
-    for path in paths:
-        pages.extend(parse_pages_file(path))
-    return pages
+    return [page for path in paths for page in parse_pages_file(path)]
 
 
 def _cmd_ingest(args) -> int:
-    pages = _load_pages(args.pages)
-    summaries = summarize_services(pages)
+    summaries = summarize_services(_load_pages(args.pages))
+    texts = _ingest(summaries, persistence=len({snap for snap, _ in summaries}) >= 2)
     os.makedirs(args.out_dir, exist_ok=True)
-    buf = io.StringIO()
-    write_summary_csv(summaries, buf)
-    atomic_write_text(os.path.join(args.out_dir, "summaries.csv"), buf.getvalue())
-    snapshots = {snap for snap, _ in summaries}
-    if len(snapshots) >= 2:
-        report = persistence_report(summaries)
-        atomic_write_text(
-            os.path.join(args.out_dir, "persistence.json"), dump_json(report.to_dict())
-        )
-        print(f"wrote summaries.csv and persistence.json to {args.out_dir}")
-    else:
-        print(f"wrote summaries.csv to {args.out_dir} "
-              "(single snapshot: no persistence report)")
+    for fname, text in texts.items():
+        atomic_write_text(os.path.join(args.out_dir, fname), text)
+    print(f"wrote {' and '.join(texts)} to {args.out_dir}")
     return 0
 
 
@@ -512,30 +535,20 @@ def _cmd_build(args) -> int:
 
 
 def _lcratio_from_summaries_csv(path) -> dict[str, float]:
-    import csv as _csv
-
-    per_service: dict[str, list[float]] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for row in _csv.DictReader(fh):
-            per_service.setdefault(row["service"], []).append(float(row["lcratio"]))
-    return {svc: sum(v) / len(v) for svc, v in per_service.items()}
+        return _mean_lcratio((row["service"], float(row["lcratio"]))
+                             for row in csv.DictReader(fh))
 
 
 def _cmd_metrics(args) -> int:
     g = read_graph_file(args.graph)
-    giant = giant_wcc(g)
-    target = giant if args.component == "giant-wcc" else g
-    gm = compute_global_metrics(target)
-    atomic_write_text(args.global_json, dump_json(gm.to_dict()))
     lcr = _lcratio_from_summaries_csv(args.summaries) if args.summaries else None
-    vm = vertex_metrics(target, lcratio_by_service=lcr,
-                        weighted_rank=args.weighted_rank == "on")
-    buf = io.StringIO()
-    write_vertex_metrics_csv(vm, buf)
-    atomic_write_text(args.vertex_csv, buf.getvalue())
-    if args.hub_curve_json:
-        curve = hub_reach_curve(giant, k=args.k_hubs)
-        atomic_write_text(args.hub_curve_json, dump_json({"k": args.k_hubs, "curve": curve}))
+    texts, _ = _metrics(g, args.component, lcr, args.weighted_rank == "on",
+                        args.k_hubs if args.hub_curve_json else None)
+    outputs = {"global.json": args.global_json, "vertices.csv": args.vertex_csv,
+               "hubreach.json": args.hub_curve_json}
+    for suffix, text in texts.items():
+        atomic_write_text(outputs[suffix], text)
     print(f"wrote global metrics to {args.global_json}, vertex metrics to {args.vertex_csv}")
     return 0
 
@@ -543,42 +556,23 @@ def _cmd_metrics(args) -> int:
 def _cmd_fit(args) -> int:
     if args.graph:
         g = read_graph_file(args.graph)
-        if args.degree == "in":
-            degrees = g.in_degrees()
-        elif args.degree == "out":
-            degrees = g.out_degrees()
-        else:
-            degrees = g.degrees()
-        sample = degrees[degrees > 0]
+        degrees = {"in": g.in_degrees, "out": g.out_degrees, "total": g.degrees}[args.degree]()
     elif args.degrees_csv:
-        import csv as _csv
-
         with open(args.degrees_csv, "r", encoding="utf-8") as fh:
-            rows = list(_csv.DictReader(fh))
+            rows = list(csv.DictReader(fh))
         if not rows or args.column not in rows[0]:
             raise UsageError(f"column {args.column!r} not found in {args.degrees_csv}")
-        values = [float(r[args.column]) for r in rows if r[args.column] != ""]
-        sample = np.array([v for v in values if v > 0])
+        degrees = np.array([float(r[args.column]) for r in rows if r[args.column] != ""])
     else:
         raise UsageError("either --graph or --degrees-csv is required")
-    payload = fit_report(sample, min_tail=args.min_tail).to_dict()
-    if args.bootstrap > 0:
-        pl = fit_power_law(sample, min_tail=args.min_tail)
-        boot = bootstrap_pvalue(sample, pl, n_boot=args.bootstrap,
-                                seed=args.seed_fit, min_tail=args.min_tail)
-        payload["bootstrap_p"] = boot.p_value
-        payload["bootstrap_replicates"] = boot.n_replicates
-    atomic_write_text(args.out, dump_json(payload))
+    atomic_write_text(args.out, _fit(degrees, args.min_tail, args.bootstrap, args.seed_fit))
     print(f"wrote fit report to {args.out}")
     return 0
 
 
 def _cmd_communities(args) -> int:
-    g = read_graph_file(args.graph)
-    part = louvain(g, seed=args.seed_louvain)
-    buf = io.StringIO()
-    write_partition_csv(part, buf)
-    atomic_write_text(args.out, buf.getvalue())
+    part = louvain(read_graph_file(args.graph), seed=args.seed_louvain)
+    atomic_write_text(args.out, _csv_text(write_partition_csv, part))
     print(f"wrote {part.n_clusters} clusters to {args.out}")
     return 0
 
@@ -599,57 +593,34 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_bowtie(args) -> int:
-    g = read_graph_file(args.graph)
-    result = bowtie_decompose(g)
+    result = bowtie_decompose(read_graph_file(args.graph))
     atomic_write_text(args.out, dump_json(result.to_dict()))
     print(f"wrote bow-tie decomposition to {args.out}")
     return 0
 
 
 def _cmd_stats(args) -> int:
-    if args.stats_mode == "corr":
+    vm = g = labels = None
+    if getattr(args, "vertex_csv", None):
         with open(args.vertex_csv, "r", encoding="utf-8") as fh:
             vm = read_vertex_metrics_csv(fh)
-        buf = io.StringIO()
-        spearman_matrix(vm).write_csv(buf)
-        atomic_write_text(args.out, buf.getvalue())
-    elif args.stats_mode == "prevalence":
-        with open(args.labels, "r", encoding="utf-8") as fh:
-            labels = LabelSet.from_csv(fh)
+    if getattr(args, "graph", None):
         g = read_graph_file(args.graph)
-        atomic_write_text(args.out, dump_json(tag_prevalence(labels, g).to_dict()))
-    else:  # gain
-        with open(args.vertex_csv, "r", encoding="utf-8") as fh:
-            vm = read_vertex_metrics_csv(fh)
-        with open(args.labels, "r", encoding="utf-8") as fh:
-            labels = LabelSet.from_csv(fh)
-        buf = io.StringIO()
-        gain_report(vm, labels).write_csv(buf)
-        atomic_write_text(args.out, buf.getvalue())
+    if getattr(args, "labels", None):
+        labels = _read_labels(args.labels)
+    atomic_write_text(args.out, _stats(args.stats_mode, vm, g, labels))
     print(f"wrote {args.stats_mode} output to {args.out}")
     return 0
 
 
 def _cmd_run(args) -> int:
     # precedence: flags > --set > config file > environment > built-ins
-    with open(args.config, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{args.config}: invalid JSON config ({exc.msg})") from exc
-    for key, value in _env_defaults().items():
-        raw.setdefault(key, value)
-    config = RunConfig.from_dict(raw)
+    config = RunConfig.from_file(args.config, defaults=_env_defaults())
     for assignment in args.set or []:
         config.apply_override(assignment)
-    if args.out_dir:
-        config.out_dir = args.out_dir
-    if args.seed_louvain is not None:
-        config.seed_louvain = args.seed_louvain
-    if args.seed_fit is not None:
-        config.seed_fit = args.seed_fit
-    if args.k_hubs is not None:
-        config.k_hubs = args.k_hubs
+    for key in ("out_dir", "seed_louvain", "seed_fit", "k_hubs"):
+        if getattr(args, key) is not None:
+            setattr(config, key, getattr(args, key))
     if args.weighted_rank is not None:
         config.weighted_rank = args.weighted_rank == "on"
     manifest = run_pipeline(config)
@@ -730,17 +701,15 @@ def build_parser() -> argparse.ArgumentParser:
     q = stats_sub.add_parser("corr", help="Spearman matrix from a vertex-metrics CSV")
     q.add_argument("--vertex-csv", required=True)
     q.add_argument("--out", required=True)
-    q.set_defaults(func=_cmd_stats)
     q = stats_sub.add_parser("prevalence", help="content-class distribution over a graph")
     q.add_argument("--labels", required=True)
     q.add_argument("--graph", required=True)
     q.add_argument("--out", required=True)
-    q.set_defaults(func=_cmd_stats)
     q = stats_sub.add_parser("gain", help="information-gain matrix")
     q.add_argument("--vertex-csv", required=True)
     q.add_argument("--labels", required=True)
     q.add_argument("--out", required=True)
-    q.set_defaults(func=_cmd_stats)
+    p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("run", help="full pipeline from a JSON config")
     p.add_argument("--config", required=True)
@@ -765,26 +734,14 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except StageError as exc:
-        cause = exc.cause
+    except (OnionGraphError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        cause = exc.cause if isinstance(exc, StageError) else exc
         if isinstance(cause, UsageError):
             return 1
-        if isinstance(cause, DataError):
+        if isinstance(cause, (DataError, FileNotFoundError)):
             return 2
         return 3
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OnionGraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:  # pragma: no cover - last resort
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

@@ -1,10 +1,12 @@
 import json
 import os
+import stat
 
 import pytest
 
-from oniongraph.cli import RunConfig, dump_json, main, run_pipeline
-from oniongraph.errors import StageError
+from oniongraph import cli
+from oniongraph.cli import RunConfig, dump_json, main, run_pipeline, sha256_file
+from oniongraph.errors import DataError, StageError
 from oniongraph.synth import CorpusSpec, generate_corpus
 
 
@@ -33,6 +35,15 @@ def write_config(tmp_path, cfg):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+def files_under(root):
+    """Relative paths (with '/') of every file below `root`."""
+    return {
+        os.path.relpath(os.path.join(dirpath, f), root).replace(os.sep, "/")
+        for dirpath, _, files in os.walk(root)
+        for f in files
+    }
 
 
 class TestSubcommands:
@@ -221,3 +232,203 @@ def test_dump_json_sorts_and_strips_nan():
     text = dump_json({"b": float("nan"), "a": 1})
     assert text.index('"a"') < text.index('"b"')
     assert "NaN" not in text and "null" in text
+
+
+class TestOutputDirectory:
+    def test_failed_rerun_keeps_previous_run(self, corpus_dir, tmp_path, monkeypatch):
+        root, paths, corpus = corpus_dir
+        out = tmp_path / "out"
+        cfg = make_config(paths, corpus, out)
+        manifest = run_pipeline(RunConfig.from_dict(cfg))
+        manifest_bytes = (out / "manifest.json").read_bytes()
+
+        def failing_bowtie(g):
+            raise DataError("injected bow-tie failure")
+
+        monkeypatch.setattr(cli, "bowtie_decompose", failing_bowtie)
+        with pytest.raises(StageError, match="bowtie"):
+            run_pipeline(RunConfig.from_dict(cfg))
+        assert (out / "manifest.json").read_bytes() == manifest_bytes
+        listed = {a["path"] for a in manifest["artifacts"]}
+        assert files_under(out) == listed | {"manifest.json"}
+        for artifact in manifest["artifacts"]:
+            assert sha256_file(out / artifact["path"]) == artifact["sha256"]
+        # no staging or set-aside directory is left next to out_dir
+        assert os.listdir(tmp_path) == ["out"]
+
+    def test_failed_publish_restores_previous_run(self, corpus_dir, tmp_path, monkeypatch):
+        root, paths, corpus = corpus_dir
+        out = tmp_path / "out"
+        cfg = make_config(paths, corpus, out)
+        run_pipeline(RunConfig.from_dict(cfg))
+        before = {rel: (out / rel).read_bytes() for rel in files_under(out)}
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if ".staging-" in os.fspath(src):
+                raise OSError("injected rename failure")
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", replace)
+        with pytest.raises(StageError, match="manifest"):
+            run_pipeline(RunConfig.from_dict(cfg))
+        assert {rel: (out / rel).read_bytes() for rel in files_under(out)} == before
+        assert os.listdir(tmp_path) == ["out"]
+
+    def test_rerun_with_fewer_graphs_leaves_only_its_files(self, corpus_dir, tmp_path):
+        root, paths, corpus = corpus_dir
+        out = tmp_path / "out"
+        run_pipeline(RunConfig.from_dict(make_config(paths, corpus, out)))
+        manifest = run_pipeline(
+            RunConfig.from_dict(make_config(paths, corpus, out, graph_sets=["union"]))
+        )
+        listed = {a["path"] for a in manifest["artifacts"]}
+        assert files_under(out) == listed | {"manifest.json"}
+        assert os.listdir(tmp_path) == ["out"]
+        # the published directory has the mode a plain mkdir would give it
+        umask = os.umask(0o022)
+        os.umask(umask)
+        assert stat.S_IMODE(os.stat(out).st_mode) == 0o777 & ~umask
+
+    def test_bad_labels_fail_before_any_page_is_parsed(self, corpus_dir, tmp_path,
+                                                        monkeypatch, capsys):
+        root, paths, corpus = corpus_dir
+        labels = tmp_path / "labels.csv"
+        labels.write_text("service,class,language\nsome.onion,NoSuchClass,en\n")
+        parsed = []
+        monkeypatch.setattr(cli, "parse_pages_file", lambda path: parsed.append(path) or [])
+        cfg = make_config(paths, corpus, tmp_path / "out", labels=str(labels))
+        assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
+        assert parsed == []
+        assert "stage 'setup' failed: unknown content class" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("occupant", ["foreign-file-inside", "regular-file", "symlink"])
+    def test_unowned_out_dir_is_refused(self, corpus_dir, tmp_path, occupant):
+        root, paths, corpus = corpus_dir
+        out = tmp_path / "out"
+        if occupant == "regular-file":
+            out.write_text("not a run\n")
+        elif occupant == "symlink":
+            (tmp_path / "target").mkdir()
+            out.symlink_to(tmp_path / "target")
+        else:
+            out.mkdir()
+            (out / "notes.txt").write_text("not a run\n")
+        before = {p: p.read_bytes() for p in [out, *out.rglob("*")] if p.is_file()}
+        listing = sorted(os.listdir(tmp_path))
+        cfg_path = write_config(tmp_path, make_config(paths, corpus, out))
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert {p: p.read_bytes() for p in [out, *out.rglob("*")] if p.is_file()} == before
+        assert sorted(os.listdir(tmp_path)) == sorted(listing + ["config.json"])
+        assert out.is_symlink() == (occupant == "symlink")
+
+
+# -- parity: each subcommand writes byte for byte what `run` writes ----------------
+
+PARITY_GRAPHS = ["dsg_SNP1", "dsg_intersection", "dsg_union",
+                 "usg_SNP1", "usg_intersection", "usg_union"]
+PARITY_SEED_LOUVAIN = 3
+PARITY_BOOTSTRAP = 2
+VERTEX_CSV_DIRECTEDNESS = pytest.mark.xfail(
+    strict=True,
+    reason="known defect: read_vertex_metrics_csv infers directedness from in/out "
+           "degree equality, so an undirected vertex CSV reads back as directed",
+)
+
+
+@pytest.fixture(scope="module")
+def run_out(corpus_dir, tmp_path_factory):
+    root, paths, corpus = corpus_dir
+    out = tmp_path_factory.mktemp("parity") / "out"
+    cfg = make_config(paths, corpus, out, seed_louvain=PARITY_SEED_LOUVAIN,
+                      fit_bootstrap=PARITY_BOOTSTRAP)
+    run_pipeline(RunConfig.from_dict(cfg))
+    return out
+
+
+def assert_same_bytes(produced, artifact):
+    assert produced.read_bytes() == artifact.read_bytes()
+
+
+def page_files(name, paths, corpus):
+    """The page files a graph is built from: its own snapshot, or all of them."""
+    snap = name.split("_", 1)[1]
+    snaps = [snap] if snap in corpus.spec.snapshots else corpus.spec.snapshots
+    return [str(paths[s]) for s in snaps]
+
+
+class TestSubcommandParity:
+    def test_ingest(self, corpus_dir, run_out, tmp_path):
+        root, paths, corpus = corpus_dir
+        assert main(["ingest", *(str(paths[s]) for s in corpus.spec.snapshots),
+                     "--out-dir", str(tmp_path)]) == 0
+        for fname in ("summaries.csv", "persistence.json"):
+            assert_same_bytes(tmp_path / fname, run_out / "ingest" / fname)
+
+    @pytest.mark.parametrize("name", PARITY_GRAPHS)
+    def test_metrics(self, corpus_dir, run_out, tmp_path, name):
+        root, paths, corpus = corpus_dir
+        assert main(["ingest", *page_files(name, paths, corpus),
+                     "--out-dir", str(tmp_path)]) == 0
+        assert main(["metrics", "--graph", str(run_out / "graphs" / f"{name}.tsv"),
+                     "--summaries", str(tmp_path / "summaries.csv"),
+                     "--global-json", str(tmp_path / "global.json"),
+                     "--vertex-csv", str(tmp_path / "vertices.csv"),
+                     "--hub-curve-json", str(tmp_path / "hubreach.json"),
+                     "--k-hubs", "25"]) == 0
+        for suffix in ("global.json", "vertices.csv", "hubreach.json"):
+            assert_same_bytes(tmp_path / suffix, run_out / "metrics" / f"{name}.{suffix}")
+
+    @pytest.mark.parametrize("name,kind", [
+        (name, kind) for name in PARITY_GRAPHS
+        for kind in (("in", "out") if name.startswith("dsg") else ("degree",))
+    ])
+    def test_fit(self, run_out, tmp_path, name, kind):
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--graph", str(run_out / "graphs" / f"{name}.tsv"),
+                     "--degree", "total" if kind == "degree" else kind,
+                     "--min-tail", "20", "--bootstrap", str(PARITY_BOOTSTRAP),
+                     "--seed-fit", "0", "--out", str(out)]) == 0
+        assert_same_bytes(out, run_out / "fits" / f"{name}.{kind}.json")
+
+    @pytest.mark.parametrize("name", PARITY_GRAPHS)
+    def test_communities(self, run_out, tmp_path, name):
+        out = tmp_path / "partition.csv"
+        assert main(["communities", "--graph", str(run_out / "graphs" / f"{name}.tsv"),
+                     "--seed-louvain", str(PARITY_SEED_LOUVAIN), "--out", str(out)]) == 0
+        assert_same_bytes(out, run_out / "communities" / f"{name}.partition.csv")
+
+    @pytest.mark.parametrize("name", [n for n in PARITY_GRAPHS if n.startswith("dsg")])
+    def test_bowtie(self, run_out, tmp_path, name):
+        out = tmp_path / "bowtie.json"
+        assert main(["bowtie", "--graph", str(run_out / "graphs" / f"{name}.tsv"),
+                     "--out", str(out)]) == 0
+        assert_same_bytes(out, run_out / "bowtie" / f"{name}.json")
+
+    @pytest.mark.parametrize("mode,name", [
+        pytest.param(mode, name, marks=VERTEX_CSV_DIRECTEDNESS)
+        if name.startswith("usg") and mode != "prevalence" else (mode, name)
+        for mode in ("corr", "prevalence", "gain") for name in PARITY_GRAPHS
+    ])
+    def test_stats(self, corpus_dir, run_out, tmp_path, mode, name):
+        root, paths, corpus = corpus_dir
+        artifact = run_out / "stats" / f"{name}.{mode}.{'json' if mode == 'prevalence' else 'csv'}"
+        inputs = {
+            "corr": ["--vertex-csv", str(run_out / "metrics" / f"{name}.vertices.csv")],
+            "prevalence": ["--labels", str(paths["labels"]),
+                           "--graph", str(run_out / "graphs" / f"{name}.tsv")],
+            "gain": ["--vertex-csv", str(run_out / "metrics" / f"{name}.vertices.csv"),
+                     "--labels", str(paths["labels"])],
+        }[mode]
+        out = tmp_path / artifact.name
+        assert main(["stats", mode, *inputs, "--out", str(out)]) == 0
+        assert_same_bytes(out, artifact)
+
+
+def test_ami_matrix_is_exactly_symmetric(run_out):
+    payload = json.loads((run_out / "communities" / "ami_matrix.json").read_text())
+    ami, common = payload["ami"], payload["common_vertices"]
+    assert len(ami) == len(payload["graphs"]) == 10
+    assert ami == [list(row) for row in zip(*ami)]
+    assert common == [list(row) for row in zip(*common)]
