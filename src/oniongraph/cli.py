@@ -5,10 +5,11 @@ Subcommands (`ingest`, `build`, `metrics`, `fit`, `communities`, `compare`,
 stages cache naturally; `run` executes the whole pipeline from a JSON
 config into an output directory with a content-hashed manifest; both share
 one implementation per stage. Subcommand outputs are written atomically
-(temp file + rename). `run` writes into a sibling staging directory that
-replaces `out_dir` only when every stage succeeds, so a failed run leaves
-`out_dir` untouched; an `out_dir` that is neither absent, empty, nor an
-earlier run's (holding `manifest.json`) is refused with exit code 1.
+(temp file + rename). `run` writes into a staging directory inside
+`out_dir` whose entries replace the previous run's only when every stage
+succeeds, so a failed run leaves `out_dir` as it was. An `out_dir` that is
+neither absent, empty, nor exactly an earlier run (a run `manifest.json`
+listing every other file in it) is refused with exit code 1.
 Runs with identical config and seeds are byte-identical.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
@@ -109,6 +110,11 @@ def atomic_write_text(path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _read(reader, path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return reader(fh)
+
+
 def sha256_file(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -149,11 +155,10 @@ class RunConfig:
     @classmethod
     def from_file(cls, path, defaults=None) -> "RunConfig":
         """Load a JSON config; `defaults` fill only the keys the file leaves out."""
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: invalid JSON config ({exc.msg})") from exc
+        try:
+            raw = _read(json.load, path)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: invalid JSON config ({exc.msg})") from exc
         if not isinstance(raw, dict):
             raise DataError(f"{path}: config must be a JSON object")
         return cls.from_dict({**(defaults or {}), **raw})
@@ -199,18 +204,38 @@ class RunConfig:
             raise UsageError(f"unknown component policy {self.component_policy!r}")
         if self.k_hubs < 1:
             raise UsageError("k_hubs must be >= 1")
-        # a run replaces out_dir wholesale (as run_pipeline resolves it), so it must own it
-        out_dir = os.path.abspath(self.out_dir)
-        if os.path.islink(out_dir) or (os.path.lexists(out_dir) and not os.path.isdir(out_dir)):
-            raise UsageError(f"out_dir {out_dir} is not a directory")
-        if os.path.isdir(out_dir):
-            entries = os.listdir(out_dir)
-            if entries and "manifest.json" not in entries:
-                raise UsageError(f"out_dir {out_dir} is not empty and holds no "
-                                 "manifest.json of an earlier run")
+        _check_out_dir(os.path.abspath(self.out_dir))
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+# the top-level entries of out_dir that a run writes, and so replaces on success
+RUN_ENTRIES = ("manifest.json", "ingest", "graphs", "metrics", "fits", "communities",
+               "bowtie", "stats")
+
+
+def _check_out_dir(out_dir: str) -> None:
+    """Refuse an `out_dir` that is neither absent, empty, nor exactly an
+    earlier run: every file or link in it must be a run manifest.json or
+    listed there."""
+    if os.path.lexists(out_dir) and not os.path.isdir(out_dir):
+        raise UsageError(f"out_dir {out_dir} is not a directory")
+    if not os.path.isdir(out_dir) or not os.listdir(out_dir):
+        return
+    refusal = f"out_dir {out_dir} is not empty and is not the output of an earlier run"
+    try:
+        manifest = _read(json.load, os.path.join(out_dir, "manifest.json"))
+        listed = {"manifest.json"} | {a["path"] for a in manifest["artifacts"]}
+        if not isinstance(manifest["config"], dict):
+            raise TypeError("config is not an object")
+    except (OSError, ValueError, LookupError, TypeError) as exc:
+        raise UsageError(f"{refusal} (no run manifest.json: {exc})") from exc
+    for root, dirnames, filenames in os.walk(out_dir):
+        for entry in filenames + [d for d in dirnames if os.path.islink(os.path.join(root, d))]:
+            rel = os.path.relpath(os.path.join(root, entry), out_dir)
+            if rel not in listed:
+                raise UsageError(f"{refusal} ({rel} is not in its manifest.json)")
 
 
 def _env_defaults() -> dict:
@@ -240,11 +265,6 @@ def _csv_text(writer, obj) -> str:
     buf = io.StringIO()
     writer(obj, buf)
     return buf.getvalue()
-
-
-def _read_labels(path) -> LabelSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return LabelSet.from_csv(fh)
 
 
 def _mean_lcratio(pairs) -> dict[str, float]:
@@ -292,49 +312,59 @@ def _fit(degrees, min_tail: int, n_boot: int, seed: int) -> str:
     return dump_json(report)
 
 
-def _stats(mode: str, vm=None, g=None, labels=None) -> str:
-    """One stats output: "corr" (needs vm), "prevalence" (labels, g) or "gain" (vm, labels)."""
-    if mode == "corr":
-        return _csv_text(CorrelationMatrix.write_csv, spearman_matrix(vm))
-    if mode == "prevalence":
-        return dump_json(tag_prevalence(labels, g).to_dict())
+def _corr_csv(vm) -> str:
+    return _csv_text(CorrelationMatrix.write_csv, spearman_matrix(vm))
+
+
+def _gain_csv(vm, labels: LabelSet) -> str:
     return _csv_text(GainTable.write_csv, gain_report(vm, labels))
+
+
+def _prevalence_json(labels: LabelSet, g: ServiceGraph) -> str:
+    return dump_json(tag_prevalence(labels, g).to_dict())
 
 
 # -- pipeline ----------------------------------------------------------------------
 
 
 def _publish(staging: str, out_dir: str) -> None:
-    """Rename `staging` to `out_dir`; a previous run there is moved aside
-    first and removed only once the new run is in place."""
-    # named after the staging directory, whose name mkdtemp made unique
-    head, suffix = staging.rsplit(".staging-", 1)
-    old = f"{head}.old-{suffix}" if os.path.exists(out_dir) else None
-    if old is not None:
-        os.replace(out_dir, old)
+    """Move the entries of `staging` into `out_dir` in place of the previous
+    run's, which are set aside first and removed once the new run is in
+    place; if a move fails, the previous run is put back."""
+    old = tempfile.mkdtemp(prefix=".old-", dir=out_dir)
+    # manifest.json leaves first and arrives last, so it never lists missing files
+    incoming = sorted(os.listdir(staging), key=lambda entry: (entry == "manifest.json", entry))
+    moved, placed = [], []
     try:
-        os.replace(staging, out_dir)
+        for entry in RUN_ENTRIES:
+            if os.path.lexists(os.path.join(out_dir, entry)):
+                os.replace(os.path.join(out_dir, entry), os.path.join(old, entry))
+                moved.append(entry)
+        for entry in incoming:
+            os.replace(os.path.join(staging, entry), os.path.join(out_dir, entry))
+            placed.append(entry)
     except BaseException:
-        if old is not None:
-            os.replace(old, out_dir)
+        for entry in placed:
+            os.replace(os.path.join(out_dir, entry), os.path.join(staging, entry))
+        for entry in moved:
+            os.replace(os.path.join(old, entry), os.path.join(out_dir, entry))
+        os.rmdir(old)
         raise
-    if old is not None:
-        shutil.rmtree(old)
+    shutil.rmtree(old)
+    os.rmdir(staging)
 
 
 def run_pipeline(config: RunConfig) -> dict:
     """Execute every stage and return the manifest (also written to disk).
 
-    The run is written into a sibling staging directory that replaces
-    `out_dir` only when every stage has succeeded. A failed stage removes the
-    staging directory, leaves `out_dir` untouched and raises StageError
-    naming the stage.
+    The run is written into a staging directory inside `out_dir` whose
+    entries replace the previous run's only when every stage has succeeded.
+    A failed stage removes the staging directory, leaves `out_dir` as it was
+    and raises StageError naming the stage.
     """
     config.validate()
     out_dir = os.path.abspath(config.out_dir)
-    parent, name = os.path.split(out_dir)
-    os.makedirs(parent, exist_ok=True)
-    staging = tempfile.mkdtemp(prefix=f".{name}.staging-", dir=parent)
+    staging = None
     written: list[str] = []
 
     def path(rel: str) -> str:
@@ -344,17 +374,14 @@ def run_pipeline(config: RunConfig) -> dict:
         return full
 
     def write(rel: str, text: str) -> None:
-        with open(path(rel), "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        atomic_write_text(path(rel), text)
 
     skipped: list[dict] = []
     stage = "setup"
     try:
-        # mkdtemp's mode is 0o700; publish with the mode a mkdir would give
-        umask = os.umask(0o022)
-        os.umask(umask)
-        os.chmod(staging, 0o777 & ~umask)
-        labels = _read_labels(config.labels) if config.labels is not None else None
+        labels = _read(LabelSet.from_csv, config.labels) if config.labels is not None else None
+        os.makedirs(out_dir, exist_ok=True)
+        staging = tempfile.mkdtemp(prefix=".staging-", dir=out_dir)
 
         # ingest ------------------------------------------------------------
         stage = "ingest"
@@ -458,13 +485,16 @@ def run_pipeline(config: RunConfig) -> dict:
         # stats ----------------------------------------------------------------------------
         stage = "stats"
         for name in names:
-            write(f"stats/{name}.corr.csv", _stats("corr", vms[name]))
+            write(f"stats/{name}.corr.csv", _corr_csv(vms[name]))
             if labels is None:
                 continue
-            for mode, fname in (("prevalence", f"{name}.prevalence.json"),
-                                ("gain", f"{name}.gain.csv")):
+            for mode, fname, text in (
+                ("prevalence", f"{name}.prevalence.json",
+                 lambda: _prevalence_json(labels, graphs[name])),
+                ("gain", f"{name}.gain.csv", lambda: _gain_csv(vms[name], labels)),
+            ):
                 try:
-                    write(f"stats/{fname}", _stats(mode, vms[name], graphs[name], labels))
+                    write(f"stats/{fname}", text())
                 except DataError as exc:
                     skipped.append({"stage": f"stats.{mode}.{name}", "reason": str(exc)})
         if labels is None:
@@ -487,8 +517,9 @@ def run_pipeline(config: RunConfig) -> dict:
     except Exception as exc:
         raise StageError(stage, exc) from exc
     finally:
-        # gone already when the run was published
-        shutil.rmtree(staging, ignore_errors=True)
+        # a published run has removed the staging directory already
+        if staging is not None:
+            shutil.rmtree(staging, ignore_errors=True)
 
 
 # -- subcommand implementations ----------------------------------------------------
@@ -535,9 +566,8 @@ def _cmd_build(args) -> int:
 
 
 def _lcratio_from_summaries_csv(path) -> dict[str, float]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return _mean_lcratio((row["service"], float(row["lcratio"]))
-                             for row in csv.DictReader(fh))
+    rows = _read(lambda fh: list(csv.DictReader(fh)), path)
+    return _mean_lcratio((row["service"], float(row["lcratio"])) for row in rows)
 
 
 def _cmd_metrics(args) -> int:
@@ -558,8 +588,7 @@ def _cmd_fit(args) -> int:
         g = read_graph_file(args.graph)
         degrees = {"in": g.in_degrees, "out": g.out_degrees, "total": g.degrees}[args.degree]()
     elif args.degrees_csv:
-        with open(args.degrees_csv, "r", encoding="utf-8") as fh:
-            rows = list(csv.DictReader(fh))
+        rows = _read(lambda fh: list(csv.DictReader(fh)), args.degrees_csv)
         if not rows or args.column not in rows[0]:
             raise UsageError(f"column {args.column!r} not found in {args.degrees_csv}")
         degrees = np.array([float(r[args.column]) for r in rows if r[args.column] != ""])
@@ -578,10 +607,7 @@ def _cmd_communities(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    with open(args.a, "r", encoding="utf-8") as fh:
-        pa = read_partition_csv(fh)
-    with open(args.b, "r", encoding="utf-8") as fh:
-        pb = read_partition_csv(fh)
+    pa, pb = _read(read_partition_csv, args.a), _read(read_partition_csv, args.b)
     if args.restrict_common:
         score, n_common = ami_on_common(pa, pb)
         payload = {"ami": score, "common_vertices": n_common}
@@ -600,15 +626,7 @@ def _cmd_bowtie(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    vm = g = labels = None
-    if getattr(args, "vertex_csv", None):
-        with open(args.vertex_csv, "r", encoding="utf-8") as fh:
-            vm = read_vertex_metrics_csv(fh)
-    if getattr(args, "graph", None):
-        g = read_graph_file(args.graph)
-    if getattr(args, "labels", None):
-        labels = _read_labels(args.labels)
-    atomic_write_text(args.out, _stats(args.stats_mode, vm, g, labels))
+    atomic_write_text(args.out, args.stats_text(args))
     print(f"wrote {args.stats_mode} output to {args.out}")
     return 0
 
@@ -701,14 +719,19 @@ def build_parser() -> argparse.ArgumentParser:
     q = stats_sub.add_parser("corr", help="Spearman matrix from a vertex-metrics CSV")
     q.add_argument("--vertex-csv", required=True)
     q.add_argument("--out", required=True)
+    q.set_defaults(stats_text=lambda a: _corr_csv(_read(read_vertex_metrics_csv, a.vertex_csv)))
     q = stats_sub.add_parser("prevalence", help="content-class distribution over a graph")
     q.add_argument("--labels", required=True)
     q.add_argument("--graph", required=True)
     q.add_argument("--out", required=True)
+    q.set_defaults(stats_text=lambda a: _prevalence_json(_read(LabelSet.from_csv, a.labels),
+                                                         read_graph_file(a.graph)))
     q = stats_sub.add_parser("gain", help="information-gain matrix")
     q.add_argument("--vertex-csv", required=True)
     q.add_argument("--labels", required=True)
     q.add_argument("--out", required=True)
+    q.set_defaults(stats_text=lambda a: _gain_csv(_read(read_vertex_metrics_csv, a.vertex_csv),
+                                                  _read(LabelSet.from_csv, a.labels)))
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("run", help="full pipeline from a JSON config")

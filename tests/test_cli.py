@@ -234,6 +234,32 @@ def test_dump_json_sorts_and_strips_nan():
     assert "NaN" not in text and "null" in text
 
 
+def tree_of(root):
+    """Every entry below `root`, links not followed: file bytes, a link's
+    target, or None for a directory."""
+    tree = {}
+    for dirpath, dirnames, filenames in os.walk(root):
+        for entry in dirnames + filenames:
+            full = os.path.join(dirpath, entry)
+            rel = os.path.relpath(full, root)
+            if os.path.islink(full):
+                tree[rel] = ("link", os.readlink(full))
+            elif os.path.isdir(full):
+                tree[rel] = None
+            else:
+                with open(full, "rb") as fh:
+                    tree[rel] = fh.read()
+    return tree
+
+
+def assert_holds_exactly(out, manifest):
+    """`out` holds the manifest's files and nothing else (no staging or
+    set-aside directory either)."""
+    listed = {a["path"] for a in manifest["artifacts"]} | {"manifest.json"}
+    assert files_under(out) == listed
+    assert sorted(os.listdir(out)) == sorted({p.split("/")[0] for p in listed})
+
+
 class TestOutputDirectory:
     def test_failed_rerun_keeps_previous_run(self, corpus_dir, tmp_path, monkeypatch):
         root, paths, corpus = corpus_dir
@@ -249,11 +275,9 @@ class TestOutputDirectory:
         with pytest.raises(StageError, match="bowtie"):
             run_pipeline(RunConfig.from_dict(cfg))
         assert (out / "manifest.json").read_bytes() == manifest_bytes
-        listed = {a["path"] for a in manifest["artifacts"]}
-        assert files_under(out) == listed | {"manifest.json"}
+        assert_holds_exactly(out, manifest)
         for artifact in manifest["artifacts"]:
             assert sha256_file(out / artifact["path"]) == artifact["sha256"]
-        # no staging or set-aside directory is left next to out_dir
         assert os.listdir(tmp_path) == ["out"]
 
     def test_failed_publish_restores_previous_run(self, corpus_dir, tmp_path, monkeypatch):
@@ -261,34 +285,58 @@ class TestOutputDirectory:
         out = tmp_path / "out"
         cfg = make_config(paths, corpus, out)
         run_pipeline(RunConfig.from_dict(cfg))
-        before = {rel: (out / rel).read_bytes() for rel in files_under(out)}
+        before = tree_of(out)
         real_replace = os.replace
 
         def replace(src, dst):
-            if ".staging-" in os.fspath(src):
+            # fail halfway: after the earlier stage directories have moved in
+            if ".staging-" in os.fspath(src) and os.path.basename(src) == "metrics":
                 raise OSError("injected rename failure")
             return real_replace(src, dst)
 
         monkeypatch.setattr(cli.os, "replace", replace)
         with pytest.raises(StageError, match="manifest"):
             run_pipeline(RunConfig.from_dict(cfg))
-        assert {rel: (out / rel).read_bytes() for rel in files_under(out)} == before
+        assert tree_of(out) == before
         assert os.listdir(tmp_path) == ["out"]
 
     def test_rerun_with_fewer_graphs_leaves_only_its_files(self, corpus_dir, tmp_path):
         root, paths, corpus = corpus_dir
         out = tmp_path / "out"
         run_pipeline(RunConfig.from_dict(make_config(paths, corpus, out)))
+        os.chmod(out, 0o750)
+        inode = os.stat(out).st_ino
         manifest = run_pipeline(
             RunConfig.from_dict(make_config(paths, corpus, out, graph_sets=["union"]))
         )
-        listed = {a["path"] for a in manifest["artifacts"]}
-        assert files_under(out) == listed | {"manifest.json"}
+        assert_holds_exactly(out, manifest)
         assert os.listdir(tmp_path) == ["out"]
-        # the published directory has the mode a plain mkdir would give it
-        umask = os.umask(0o022)
-        os.umask(umask)
-        assert stat.S_IMODE(os.stat(out).st_mode) == 0o777 & ~umask
+        # the run replaces out_dir's entries, not out_dir itself
+        assert (os.stat(out).st_ino, stat.S_IMODE(os.stat(out).st_mode)) == (inode, 0o750)
+
+    def test_symlinked_out_dir_is_written_through_the_link(self, corpus_dir, tmp_path):
+        root, paths, corpus = corpus_dir
+        (tmp_path / "target").mkdir()
+        out = tmp_path / "out"
+        out.symlink_to(tmp_path / "target")
+        for _ in range(2):
+            manifest = run_pipeline(RunConfig.from_dict(make_config(paths, corpus, out)))
+        assert out.is_symlink()
+        assert_holds_exactly(tmp_path / "target", manifest)
+        assert sorted(os.listdir(tmp_path)) == ["out", "target"]
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root ignores directory permissions")
+    def test_out_dir_under_read_only_parent(self, corpus_dir, tmp_path):
+        root, paths, corpus = corpus_dir
+        out = tmp_path / "parent" / "out"
+        out.mkdir(parents=True)
+        os.chmod(out.parent, 0o555)
+        try:
+            for _ in range(2):
+                manifest = run_pipeline(RunConfig.from_dict(make_config(paths, corpus, out)))
+        finally:
+            os.chmod(out.parent, 0o755)
+        assert_holds_exactly(out, manifest)
 
     def test_bad_labels_fail_before_any_page_is_parsed(self, corpus_dir, tmp_path,
                                                         monkeypatch, capsys):
@@ -303,25 +351,37 @@ class TestOutputDirectory:
         assert "stage 'setup' failed: unknown content class" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("occupant", ["foreign-file-inside", "regular-file", "symlink"])
+    @pytest.mark.parametrize("occupant", [
+        "regular-file", "dangling-symlink", "foreign-files", "foreign-manifest",
+        "run-and-foreign-file", "run-and-git", "run-and-file-in-stage-dir",
+        "run-and-leftover-staging",
+    ])
     def test_unowned_out_dir_is_refused(self, corpus_dir, tmp_path, occupant):
         root, paths, corpus = corpus_dir
         out = tmp_path / "out"
+        cfg = make_config(paths, corpus, out)
         if occupant == "regular-file":
             out.write_text("not a run\n")
-        elif occupant == "symlink":
-            (tmp_path / "target").mkdir()
-            out.symlink_to(tmp_path / "target")
+        elif occupant == "dangling-symlink":
+            out.symlink_to(tmp_path / "missing")
+        elif occupant.startswith("run-"):
+            # an earlier run, plus one file that its manifest does not list
+            run_pipeline(RunConfig.from_dict(cfg))
+            extra = out / {"run-and-foreign-file": "notes.txt",
+                           "run-and-git": ".git/HEAD",
+                           "run-and-file-in-stage-dir": "metrics/notes.txt",
+                           "run-and-leftover-staging": ".staging-x/manifest.json"}[occupant]
+            extra.parent.mkdir(exist_ok=True)
+            extra.write_text("not a run\n")
         else:
             out.mkdir()
-            (out / "notes.txt").write_text("not a run\n")
-        before = {p: p.read_bytes() for p in [out, *out.rglob("*")] if p.is_file()}
-        listing = sorted(os.listdir(tmp_path))
-        cfg_path = write_config(tmp_path, make_config(paths, corpus, out))
+            (out / "index.html").write_text("not a run\n")
+            if occupant == "foreign-manifest":
+                (out / "manifest.json").write_text('{"name": "an app", "version": "1"}\n')
+        cfg_path = write_config(tmp_path, cfg)
+        before = tree_of(tmp_path)
         assert main(["run", "--config", str(cfg_path)]) == 1
-        assert {p: p.read_bytes() for p in [out, *out.rglob("*")] if p.is_file()} == before
-        assert sorted(os.listdir(tmp_path)) == sorted(listing + ["config.json"])
-        assert out.is_symlink() == (occupant == "symlink")
+        assert tree_of(tmp_path) == before
 
 
 # -- parity: each subcommand writes byte for byte what `run` writes ----------------
