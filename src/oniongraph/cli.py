@@ -126,6 +126,26 @@ def sha256_file(path) -> str:
 # -- run configuration -----------------------------------------------------------
 
 
+def _is_strs(v) -> bool:
+    return isinstance(v, list) and all(isinstance(s, str) for s in v)
+
+
+_STR = (lambda v: isinstance(v, str), "a string")
+_INT = (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
+# config key -> (accepts the value, what it must be)
+_CONFIG_TYPES = {
+    "snapshots": (lambda v: isinstance(v, dict) and _is_strs([*v, *v.values()]),
+                  "an object mapping strings to strings"),
+    "out_dir": _STR,
+    "labels": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "graph_sets": (_is_strs, "a list of strings"),
+    "directedness": (_is_strs, "a list of strings"),
+    "component_policy": _STR,
+    "weighted_rank": (lambda v: isinstance(v, bool), "true or false"),
+    **dict.fromkeys(("seed_louvain", "seed_fit", "k_hubs", "fit_min_tail", "fit_bootstrap"), _INT),
+}
+
+
 @dataclass
 class RunConfig:
     snapshots: dict[str, str]  # snapshot id -> page-record JSONL path
@@ -150,6 +170,10 @@ class RunConfig:
         missing = {"snapshots", "out_dir"} - set(raw)
         if missing:
             raise UsageError(f"config is missing {sorted(missing)}")
+        for key, value in raw.items():
+            accepts, expected = _CONFIG_TYPES[key]
+            if not accepts(value):
+                raise UsageError(f"config key {key!r} must be {expected}, got {value!r}")
         return cls(**raw)
 
     @classmethod

@@ -15,7 +15,7 @@ samplers invert these exact pmfs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
@@ -76,19 +76,7 @@ class FitReport:
     better: str
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "xmin": self.xmin,
-            "ks_distance": self.ks_distance,
-            "tail_fraction": self.tail_fraction,
-            "n_tail": self.n_tail,
-            "lognormal_mu": self.lognormal_mu,
-            "lognormal_sigma": self.lognormal_sigma,
-            "lognormal_low_confidence": self.lognormal_low_confidence,
-            "loglik_ratio": self.loglik_ratio,
-            "p_value": self.p_value,
-            "better": self.better,
-        }
+        return asdict(self)
 
 
 def _as_sample(sample) -> np.ndarray:
@@ -197,33 +185,39 @@ def power_law_logpmf(x: np.ndarray, alpha: float, xmin: int) -> np.ndarray:
 
 
 def sample_power_law(alpha: float, xmin: int, size: int, rng) -> np.ndarray:
-    """Inverse-CDF draws from the discrete power law (exact)."""
+    """Inverse-CDF draws from the discrete power law (exact).
+
+    Each draw is the smallest x >= xmin with P(X <= x) >= u. All draws are
+    searched at once: an upper bound doubles away from xmin until it covers
+    a draw, then every draw bisects between its last two bounds. A draw
+    past the int64 range is a DataError.
+    """
     if alpha <= 1:
         raise UsageError("alpha must exceed 1")
     u = rng.random(size)
     z0 = zeta(alpha, xmin)
-    # tabulated CDF for the bulk, per-sample bisection beyond the table
-    hi = xmin + 2
-    while 1.0 - zeta(alpha, hi + 1) / z0 < u.max() and hi - xmin < 1_000_000:
-        hi = xmin + 2 * (hi - xmin)
-    support = np.arange(xmin, hi + 1, dtype=np.int64)
-    cdf = 1.0 - zeta(alpha, support + 1) / z0
-    pos = np.searchsorted(cdf, u, side="left")
-    out = np.empty(size, dtype=np.int64)
-    inside = pos < support.size
-    out[inside] = support[pos[inside]]
-    for i in np.flatnonzero(~inside):
-        lo_b, hi_b = int(support[-1]), int(support[-1]) * 4
-        while 1.0 - zeta(alpha, hi_b + 1) / z0 < u[i]:
-            hi_b *= 4
-        while lo_b < hi_b:
-            mid = (lo_b + hi_b) // 2
-            if 1.0 - zeta(alpha, mid + 1) / z0 >= u[i]:
-                hi_b = mid
-            else:
-                lo_b = mid + 1
-        out[i] = lo_b
-    return out
+
+    def cdf(x):  # P(X <= x); x + 1 must fit in int64
+        return 1.0 - zeta(alpha, x + 1) / z0
+
+    top = np.iinfo(np.int64).max - 1
+    lo = np.full(size, xmin, dtype=np.int64)  # each draw is >= lo ...
+    hi = lo.copy()  # ... and <= hi once its bound covers it
+    open_, bound, step = np.arange(size), int(xmin), 1
+    while (open_ := open_[cdf(bound) < u[open_]]).size:
+        if bound == top:
+            raise DataError(f"power-law draw beyond the int64 range (alpha {alpha:g})")
+        lo[open_] = bound + 1
+        bound, step = min(bound + step, top), 2 * step
+        hi[open_] = bound
+    open_ = np.flatnonzero(lo < hi)
+    while open_.size:
+        mid = lo[open_] + (hi[open_] - lo[open_]) // 2
+        covered = cdf(mid) >= u[open_]
+        hi[open_[covered]] = mid[covered]
+        lo[open_[~covered]] = mid[~covered] + 1
+        open_ = open_[lo[open_] < hi[open_]]
+    return lo
 
 
 # -- discretized truncated log-normal ----------------------------------------

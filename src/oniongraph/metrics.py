@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.sparse import csgraph
@@ -215,30 +215,8 @@ class GlobalMetrics:
     clustering: float | None = None
 
     def to_dict(self) -> dict:
-        base = {
-            "directed": self.directed,
-            "n": self.n,
-            "m": self.m,
-            "avg_degree": self.avg_degree,
-            "assortativity": self.assortativity,
-            "diameter": self.diameter,
-            "avg_distance": self.avg_distance,
-            "global_efficiency": self.global_efficiency,
-        }
-        if self.directed:
-            base.update(
-                max_in_degree_norm=self.max_in_degree_norm,
-                max_out_degree_norm=self.max_out_degree_norm,
-                out_centralization=self.out_centralization,
-                transitivity=self.transitivity,
-            )
-        else:
-            base.update(
-                max_degree_norm=self.max_degree_norm,
-                centralization=self.centralization,
-                clustering=self.clustering,
-            )
-        return base
+        """The fields, less those of the other directedness (left None)."""
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def compute_global_metrics(g: ServiceGraph) -> GlobalMetrics:

@@ -6,6 +6,7 @@ DP over the distance matrix, reachability from boolean matrix closure.
 """
 
 import numpy as np
+from scipy.special import zeta
 
 from oniongraph.graphs import ServiceGraph
 
@@ -302,3 +303,24 @@ def giant_wcc_oracle(g):
     for v in g.vertices:
         members.setdefault(label[v], []).append(v)
     return induced_oracle(g, min(members.values(), key=lambda m: (-len(m), m[0])))
+
+
+def power_law_draw_oracle(alpha, xmin, u):
+    """One inverse-CDF draw of the discrete power law on Python ints: the
+    smallest x >= xmin with 1 - zeta(alpha, x + 1) / zeta(alpha, xmin) >= u,
+    found by doubling an upper bound and then bisecting."""
+    z0 = zeta(alpha, xmin)
+
+    def covers(x):
+        return 1.0 - zeta(alpha, x + 1) / z0 >= u
+
+    lo, hi = xmin, xmin
+    while not covers(hi):
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if covers(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo

@@ -1,7 +1,9 @@
 import json
 import os
 import stat
+from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from oniongraph import cli
@@ -139,6 +141,34 @@ class TestExitCodes:
     def test_missing_file_is_2(self, tmp_path):
         assert main(["bowtie", "--graph", str(tmp_path / "none.tsv"),
                      "--out", str(tmp_path / "o.json")]) == 2
+
+    def test_bootstrap_draw_past_int64_is_2(self, tmp_path):
+        # a flat tail (fitted alpha 1.12) whose model draws overflow int64
+        rng = np.random.default_rng(3)
+        flat = np.minimum(np.floor(1 + rng.pareto(0.12, 3000)), 10**15).astype(np.int64)
+        degrees = tmp_path / "flat.csv"
+        degrees.write_text("degree\n" + "".join(f"{d}\n" for d in flat))
+        assert main(["fit", "--degrees-csv", str(degrees), "--bootstrap", "5",
+                     "--out", str(tmp_path / "fit.json")]) == 2
+
+    @pytest.mark.parametrize("key,value", [
+        ("k_hubs", "5"), ("k_hubs", True), ("seed_fit", 1.5), ("fit_bootstrap", None),
+        ("weighted_rank", "off"), ("weighted_rank", 1), ("graph_sets", "union"),
+        ("directedness", ["directed", 1]), ("snapshots", ["S1"]), ("snapshots", {"S1": 5}),
+        ("labels", 5), ("labels", ["l.tsv"]), ("out_dir", 5), ("component_policy", None),
+    ])
+    def test_config_value_of_wrong_type_is_1(self, tmp_path, capsys, key, value):
+        pages = tmp_path / "s1.jsonl"
+        pages.write_text("")
+        config = {"snapshots": {"S1": str(pages)}, "out_dir": str(tmp_path / "out"), key: value}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(path)]) == 1
+        assert f"config key {key!r} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_every_config_key_has_a_type_check(self):
+        assert set(cli._CONFIG_TYPES) == {f.name for f in fields(RunConfig)}
 
 
 class TestRunPipeline:

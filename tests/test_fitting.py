@@ -17,6 +17,7 @@ from oniongraph.fitting import (
     sample_power_law,
     _vuong,
 )
+from oracles import power_law_draw_oracle
 
 
 def brute_force_ks(sample, alpha, xmin):
@@ -178,6 +179,12 @@ class TestCompare:
             compare_fits(x, 1, pl, ln)
 
 
+# every (alpha, xmin) these tests draw from, plus two heavy tails
+# (400 draws reach 2.5e5 and 3.2e9) and a steep tail far from xmin = 1
+SAMPLER_PARAMS = [(2.5, 1), (2.5, 10), (2.2, 6), (2.8, 3), (2.0, 2), (2.2, 1), (2.3, 1),
+                  (1.4, 1), (1.3, 100), (3.5, 50)]
+
+
 class TestSamplers:
     def test_power_law_sampler_matches_pmf(self):
         rng = np.random.default_rng(9)
@@ -200,6 +207,30 @@ class TestSamplers:
             sample_power_law(0.9, 1, 10, rng)
         with pytest.raises(UsageError):
             sample_lognormal(0.0, -1.0, 1, 10, rng)
+
+    @pytest.mark.parametrize("alpha,xmin", SAMPLER_PARAMS)
+    def test_matches_scalar_oracle(self, alpha, xmin):
+        x = sample_power_law(alpha, xmin, 400, np.random.default_rng(31))
+        u = np.random.default_rng(31).random(400)
+        assert x.dtype == np.int64
+        assert x.tolist() == [power_law_draw_oracle(alpha, xmin, v) for v in u]
+
+    @pytest.mark.parametrize("alpha,xmin", [p for p in SAMPLER_PARAMS if p[0] >= 2.5])
+    def test_oracle_matches_upward_scan(self, alpha, xmin):
+        z0 = zeta(alpha, xmin)
+        for u in np.random.default_rng(32).random(200):
+            x = xmin
+            while 1.0 - zeta(alpha, x + 1) / z0 < u:
+                x += 1
+            assert power_law_draw_oracle(alpha, xmin, u) == x
+
+    def test_empty_draw(self):
+        x = sample_power_law(1.5, 1, 0, np.random.default_rng(0))
+        assert x.dtype == np.int64 and x.size == 0
+
+    def test_draw_past_int64_is_data_error(self):
+        with pytest.raises(DataError, match="int64"):
+            sample_power_law(1.05, 1, 500, np.random.default_rng(0))
 
 
 class TestBootstrap:
