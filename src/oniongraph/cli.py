@@ -130,20 +130,42 @@ def _is_strs(v) -> bool:
     return isinstance(v, list) and all(isinstance(s, str) for s in v)
 
 
-_STR = (lambda v: isinstance(v, str), "a string")
-_INT = (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
-# config key -> (accepts the value, what it must be)
+_BOOL_WORDS = {**dict.fromkeys(("1", "true", "on", "yes"), True),
+               **dict.fromkeys(("0", "false", "off", "no"), False)}
+_STR = (lambda v: isinstance(v, str), "a string", str)
+_INT = (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer", int)
+_STRS = (_is_strs, "a list of strings", lambda text: [v for v in text.split(",") if v])
+# config key -> (accepts the value, what it must be, reads it from --set or
+# ONIONGRAPH_* text)
 _CONFIG_TYPES = {
     "snapshots": (lambda v: isinstance(v, dict) and _is_strs([*v, *v.values()]),
-                  "an object mapping strings to strings"),
+                  "an object mapping strings to strings", str),
     "out_dir": _STR,
-    "labels": (lambda v: v is None or isinstance(v, str), "a string or null"),
-    "graph_sets": (_is_strs, "a list of strings"),
-    "directedness": (_is_strs, "a list of strings"),
+    "labels": (lambda v: v is None or isinstance(v, str), "a string or null", str),
+    "graph_sets": _STRS,
+    "directedness": _STRS,
     "component_policy": _STR,
-    "weighted_rank": (lambda v: isinstance(v, bool), "true or false"),
+    "weighted_rank": (lambda v: isinstance(v, bool), "true or false",
+                      lambda text: _BOOL_WORDS.get(text.lower(), text)),
     **dict.fromkeys(("seed_louvain", "seed_fit", "k_hubs", "fit_min_tail", "fit_bootstrap"), _INT),
 }
+
+
+def _checked(key: str, value, source: str = ""):
+    """`value`, if config key `key` accepts it; else a UsageError."""
+    accepts, expected, _ = _CONFIG_TYPES[key]
+    if not accepts(value):
+        raise UsageError(f"config key {key!r}{source} must be {expected}, got {value!r}")
+    return value
+
+
+def _from_text(key: str, text: str, source: str):
+    """Config key `key` given as text by `source` (--set, ONIONGRAPH_*)."""
+    try:
+        value = _CONFIG_TYPES[key][2](text)
+    except ValueError:
+        value = text
+    return _checked(key, value, f" (from {source})")
 
 
 @dataclass
@@ -170,11 +192,7 @@ class RunConfig:
         missing = {"snapshots", "out_dir"} - set(raw)
         if missing:
             raise UsageError(f"config is missing {sorted(missing)}")
-        for key, value in raw.items():
-            accepts, expected = _CONFIG_TYPES[key]
-            if not accepts(value):
-                raise UsageError(f"config key {key!r} must be {expected}, got {value!r}")
-        return cls(**raw)
+        return cls(**{key: _checked(key, value) for key, value in raw.items()})
 
     @classmethod
     def from_file(cls, path, defaults=None) -> "RunConfig":
@@ -197,14 +215,7 @@ class RunConfig:
             raise UsageError(f"unknown config key {parts[0]!r}")
         current = getattr(self, parts[0])
         if len(parts) == 1:
-            if isinstance(current, bool):
-                setattr(self, parts[0], value.lower() in ("1", "true", "on", "yes"))
-            elif isinstance(current, int):
-                setattr(self, parts[0], int(value))
-            elif isinstance(current, list):
-                setattr(self, parts[0], [v for v in value.split(",") if v])
-            else:
-                setattr(self, parts[0], value)
+            setattr(self, key, _from_text(key, value, "--set"))
         elif len(parts) == 2 and isinstance(current, dict):
             current[parts[1]] = value
         else:
@@ -264,21 +275,11 @@ def _check_out_dir(out_dir: str) -> None:
 
 def _env_defaults() -> dict:
     """ONIONGRAPH_* variables as config defaults (lowest precedence)."""
-    mapping = {
-        "SEED_LOUVAIN": ("seed_louvain", int),
-        "SEED_FIT": ("seed_fit", int),
-        "K_HUBS": ("k_hubs", int),
-        "WEIGHTED_RANK": ("weighted_rank", lambda v: v.lower() in ("1", "true", "on", "yes")),
-        "FIT_MIN_TAIL": ("fit_min_tail", int),
-    }
     out = {}
-    for suffix, (key, conv) in mapping.items():
-        raw = os.environ.get(ENV_PREFIX + suffix)
-        if raw is not None:
-            try:
-                out[key] = conv(raw)
-            except ValueError as exc:
-                raise UsageError(f"bad {ENV_PREFIX}{suffix}={raw!r}") from exc
+    for key in ("seed_louvain", "seed_fit", "k_hubs", "weighted_rank", "fit_min_tail"):
+        name = ENV_PREFIX + key.upper()
+        if name in os.environ:
+            out[key] = _from_text(key, os.environ[name], name)
     return out
 
 

@@ -5,10 +5,18 @@ modularity is computed on symmetric weights throughout. Louvain's output
 depends on visit order, so the local-moving phase shuffles vertices with
 an explicit seed; the same seed always reproduces the same partition.
 
-Internally the symmetric adjacency follows the doubled-diagonal
-convention: a supernode's self-entry holds twice its internal weight, so
-vertex strength is a plain row sum and 2m is the grand total at every
-aggregation level.
+Internally each level's symmetric adjacency is one CSR (indptr, indices,
+data) built by `_csr`: level 0 from every edge in both directions, each
+later level from the previous CSR with both endpoints mapped to their
+community. It follows the doubled-diagonal convention: a supernode's
+self-entry holds twice its internal weight, so vertex strength is a plain
+row sum and 2m is the grand total at every aggregation level.
+
+Each row lists its columns in the order of their first entry (for level 0,
+edge order), not in ascending order. The local moves visit a vertex's
+neighbour communities in that order and keep the first of equally good
+moves, so this order is part of what a seed reproduces: sorting the
+columns changes the partitions of some graphs.
 """
 
 from __future__ import annotations
@@ -108,36 +116,41 @@ def modularity(g: ServiceGraph, p: Partition) -> float:
     # mutual directed pair folds to w_uv + w_vu automatically
     w = g.edge_weight.astype(np.float64)
     two_m = 2.0 * w.sum()
-    strength = np.zeros(g.N)
-    np.add.at(strength, g.edge_src, w)
-    np.add.at(strength, g.edge_dst, w)
+    strength = np.bincount(g.edge_src, w, g.N) + np.bincount(g.edge_dst, w, g.N)
     intra = 2.0 * w[labels[g.edge_src] == labels[g.edge_dst]].sum()
-    k = int(labels.max()) + 1
-    cluster_strength = np.zeros(k)
-    np.add.at(cluster_strength, labels, strength)
+    cluster_strength = np.bincount(labels, strength)
     return intra / two_m - float((cluster_strength / two_m) @ (cluster_strength / two_m))
 
 
 # -- Louvain ---------------------------------------------------------------------
 
 
-def _symmetric_adjacency(g: ServiceGraph) -> list[dict[int, float]]:
-    adj: list[dict[int, float]] = [dict() for _ in range(g.N)]
-    for s, d, w in zip(g.edge_src, g.edge_dst, g.edge_weight):
-        s, d, w = int(s), int(d), float(w)
-        adj[s][d] = adj[s].get(d, 0.0) + w
-        adj[d][s] = adj[d].get(s, 0.0) + w
-    return adj
+def _csr(keys, weights, n):
+    """Sum the entries (key row * n + col, weight) into CSR arrays
+    (indptr, indices, data) over n vertices, plus the row sums (vertex
+    strengths). Each row keeps its columns in the order of their first
+    entry, which is the order the local moves visit them in. Weights are
+    link counts at every level, so data stays integer and every sum is
+    exact."""
+    keys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    data = np.bincount(inverse, weights=weights).astype(np.int64)
+    seq = np.lexsort((first, keys // n))
+    keys, data = keys[seq], data[seq]
+    rows = keys // n
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, keys % n, data, np.bincount(rows, data, n)
 
 
-def _one_level(adj, strength, two_m, rng) -> tuple[list[int], bool]:
-    """Local-moving phase to a local optimum; returns (community, improved).
+def _one_level(indptr, indices, data, strength, two_m, rng) -> tuple[list[int], bool]:
+    """Local-moving phase to a local optimum over one level's CSR lists;
+    returns (community, improved).
 
     Move gain is compared up to a positive factor: moving u from cu to c
     improves Q iff (w_uc - w_ucu)/two_m - k_u (S_c - S_cu)/two_m^2 > 0,
     with u's strength removed from both community totals.
     """
-    n = len(adj)
+    n = len(indptr) - 1
     community = list(range(n))
     comm_strength = list(strength)
     order = list(range(n))
@@ -150,7 +163,8 @@ def _one_level(adj, strength, two_m, rng) -> tuple[list[int], bool]:
             cu = community[u]
             ku = strength[u]
             links: dict[int, float] = {}
-            for v, w in adj[u].items():
+            lo, hi = indptr[u], indptr[u + 1]
+            for v, w in zip(indices[lo:hi], data[lo:hi]):
                 if v != u:
                     cv = community[v]
                     links[cv] = links.get(cv, 0.0) + w
@@ -172,29 +186,6 @@ def _one_level(adj, strength, two_m, rng) -> tuple[list[int], bool]:
     return community, improved
 
 
-def _aggregate(adj, community):
-    """Collapse communities to supernodes; returns (new_adj, node_map).
-
-    The diagonal entry of a supernode accumulates every intra pair in both
-    orientations, i.e. twice the internal weight, keeping row sums equal to
-    summed member strengths.
-    """
-    relabel: dict[int, int] = {}
-    for u in range(len(adj)):
-        c = community[u]
-        if c not in relabel:
-            relabel[c] = len(relabel)
-    new_adj: list[dict[int, float]] = [dict() for _ in range(len(relabel))]
-    for u, nbrs in enumerate(adj):
-        cu = relabel[community[u]]
-        row = new_adj[cu]
-        for v, w in nbrs.items():
-            cv = relabel[community[v]]
-            row[cv] = row.get(cv, 0.0) + w
-    node_map = [relabel[community[u]] for u in range(len(adj))]
-    return new_adj, node_map
-
-
 def louvain(g: ServiceGraph, seed: int = DEFAULT_LOUVAIN_SEED) -> Partition:
     """Iterated local moving + aggregation until no level improves modularity."""
     if g.N == 0:
@@ -202,20 +193,26 @@ def louvain(g: ServiceGraph, seed: int = DEFAULT_LOUVAIN_SEED) -> Partition:
     if g.M == 0:
         return Partition.from_labels({v: i for i, v in enumerate(g.vertices)})
     rng = random.Random(seed)
-    adj = _symmetric_adjacency(g)
-    strength = [sum(nbrs.values()) for nbrs in adj]
-    two_m = sum(strength)
-    node_to_current = list(range(g.N))
+    n = g.N
+    # per edge, (src, dst) then (dst, src)
+    keys = np.column_stack([g.edge_src * n + g.edge_dst, g.edge_dst * n + g.edge_src]).ravel()
+    indptr, indices, data, strength = _csr(keys, np.repeat(g.edge_weight, 2), n)
+    two_m = float(strength.sum())
+    node_to_current = np.arange(n)
     while True:
-        community, improved = _one_level(adj, strength, two_m, rng)
+        community, improved = _one_level(
+            indptr.tolist(), indices.tolist(), data.tolist(), strength.tolist(), two_m, rng
+        )
         if not improved:
             break
-        adj, node_map = _aggregate(adj, community)
-        strength = [sum(nbrs.values()) for nbrs in adj]
-        node_to_current = [node_map[c] for c in node_to_current]
-    return Partition.from_labels(
-        {g.vertices[i]: node_to_current[i] for i in range(g.N)}
-    )
+        # supernodes numbered by first appearance in vertex order
+        _, first, inverse = np.unique(community, return_index=True, return_inverse=True)
+        node_map = np.argsort(np.argsort(first))[inverse]
+        rows = node_map[np.repeat(np.arange(n), np.diff(indptr))]
+        n = len(first)
+        indptr, indices, data, strength = _csr(rows * n + node_map[indices], data, n)
+        node_to_current = node_map[node_to_current]
+    return Partition.from_labels(dict(zip(g.vertices, node_to_current.tolist())))
 
 
 # -- adjusted mutual information ----------------------------------------------
@@ -246,39 +243,27 @@ def _mutual_information(table: np.ndarray, n: int) -> float:
 
 
 def _expected_mi(table: np.ndarray, n: int) -> float:
-    """Exact expected MI under the permutation (hypergeometric) model."""
-    a = table.sum(axis=1).astype(np.int64)
-    b = table.sum(axis=0).astype(np.int64)
-    max_n = int(max(a.max(), b.max()))
-    nij = np.arange(1, max_n + 1, dtype=np.float64)
-    log_nij = np.log(nij)
-    gln_nij = gammaln(nij + 1)
-    gln_a = gammaln(a + 1.0)
-    gln_b = gammaln(b + 1.0)
-    gln_na = gammaln(n - a + 1.0)
-    gln_nb = gammaln(n - b + 1.0)
-    gln_n = gammaln(n + 1.0)
-    log_n = math.log(n)
-    emi = 0.0
-    for i, ai in enumerate(a):
-        log_ai = math.log(ai)
-        for j, bj in enumerate(b):
-            lo = max(1, int(ai + bj - n))
-            hi = int(min(ai, bj))
-            if hi < lo:
-                continue
-            k = np.arange(lo, hi + 1)
-            term1 = k / n
-            term2 = log_n + log_nij[k - 1] - log_ai - math.log(bj)
-            gln = (
-                gln_a[i] + gln_b[j] + gln_na[i] + gln_nb[j]
-                - gln_n - gln_nij[k - 1]
-                - gammaln(ai - k + 1.0)
-                - gammaln(bj - k + 1.0)
-                - gammaln(n - ai - bj + k + 1.0)
-            )
-            emi += float((term1 * term2 * np.exp(gln)).sum())
-    return emi
+    """Exact expected MI under the permutation (hypergeometric) model.
+
+    A cell's expected share depends only on its row sum a and column sum b,
+    so each distinct (a, b) pair is evaluated once, weighted by the number
+    of cells that share it, with every k term of every pair in one
+    flattened expression.
+    """
+    a, a_cells = np.unique(table.sum(axis=1), return_counts=True)
+    b, b_cells = np.unique(table.sum(axis=0), return_counts=True)
+    cells = np.outer(a_cells, b_cells).ravel()
+    a, b = np.repeat(a, b.size), np.tile(b, a.size)
+    log_fact = gammaln(np.arange(1.0, n + 2))  # log_fact[x] = log(x!)
+    log_pair = log_fact[a] + log_fact[b] + log_fact[n - a] + log_fact[n - b] - log_fact[n]
+    lo = np.maximum(1, a + b - n)
+    terms = np.minimum(a, b) - lo + 1
+    pair = np.repeat(np.arange(a.size), terms)
+    k = lo[pair] + np.arange(pair.size) - np.repeat(np.cumsum(terms) - terms, terms)
+    a, b = a[pair], b[pair]
+    log_p = (log_pair[pair] - log_fact[k] - log_fact[a - k] - log_fact[b - k]
+             - log_fact[n - a - b + k])
+    return float((cells[pair] * (k / n) * np.log(n * k / (a * b)) * np.exp(log_p)).sum())
 
 
 def ami(p1: Partition, p2: Partition) -> float:

@@ -40,7 +40,6 @@ class ServiceGraph:
         "edge_weight",
         "_index",
         "_succ",
-        "_pred",
     )
 
     def __init__(self, directed: bool, vertices, edge_src, edge_dst, edge_weight):
@@ -51,7 +50,6 @@ class ServiceGraph:
         self.edge_weight = np.asarray(edge_weight, dtype=np.int64)
         self._index: dict[str, int] | None = None
         self._succ = None
-        self._pred = None
 
     # -- construction -------------------------------------------------
 
@@ -150,26 +148,18 @@ class ServiceGraph:
 
     # -- adjacency (CSR) ----------------------------------------------
 
-    def _build_csr(self, src: np.ndarray, dst: np.ndarray, wgt: np.ndarray):
-        order = np.lexsort((dst, src))
-        indices = dst[order]
-        weights = wgt[order]
-        counts = np.bincount(src, minlength=self.N)
-        indptr = np.zeros(self.N + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return indptr, indices, weights
-
     def successors_csr(self):
         """(indptr, indices, weights) following edge direction; for
         undirected graphs this is the symmetric adjacency."""
         if self._succ is None:
-            if self.directed:
-                self._succ = self._build_csr(self.edge_src, self.edge_dst, self.edge_weight)
-            else:
-                src = np.concatenate([self.edge_src, self.edge_dst])
-                dst = np.concatenate([self.edge_dst, self.edge_src])
-                wgt = np.concatenate([self.edge_weight, self.edge_weight])
-                self._succ = self._build_csr(src, dst, wgt)
+            src, dst, wgt = self.edge_src, self.edge_dst, self.edge_weight
+            if not self.directed:
+                src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+                wgt = np.concatenate([wgt, wgt])
+            order = np.lexsort((dst, src))
+            indptr = np.zeros(self.N + 1, dtype=np.int64)
+            np.cumsum(np.bincount(src, minlength=self.N), out=indptr[1:])
+            self._succ = indptr, dst[order], wgt[order]
         return self._succ
 
     def adjacency(self) -> csr_array:
@@ -177,22 +167,6 @@ class ServiceGraph:
         undirected graphs)."""
         indptr, indices, _ = self.successors_csr()
         return csr_array((np.ones(indices.size), indices, indptr), shape=(self.N, self.N))
-
-    def predecessors_csr(self):
-        if self._pred is None:
-            if self.directed:
-                self._pred = self._build_csr(self.edge_dst, self.edge_src, self.edge_weight)
-            else:
-                self._pred = self.successors_csr()
-        return self._pred
-
-    def out_neighbors(self, i: int) -> np.ndarray:
-        indptr, indices, _ = self.successors_csr()
-        return indices[indptr[i] : indptr[i + 1]]
-
-    def in_neighbors(self, i: int) -> np.ndarray:
-        indptr, indices, _ = self.predecessors_csr()
-        return indices[indptr[i] : indptr[i + 1]]
 
     # -- degrees --------------------------------------------------------
 

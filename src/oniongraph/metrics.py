@@ -17,7 +17,7 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.sparse import csgraph
+from scipy.sparse import csgraph, csr_array
 
 from .errors import DataError, UsageError
 from .graphs import ServiceGraph
@@ -258,18 +258,12 @@ def compute_global_metrics(g: ServiceGraph) -> GlobalMetrics:
 # -- rank scores -------------------------------------------------------------
 
 
-def _transition_arrays(g: ServiceGraph, weighted: bool):
-    """Edge arrays doubled for undirected graphs, weights as float."""
-    if g.directed:
-        src, dst = g.edge_src, g.edge_dst
-        w = g.edge_weight.astype(np.float64)
-    else:
-        src = np.concatenate([g.edge_src, g.edge_dst])
-        dst = np.concatenate([g.edge_dst, g.edge_src])
-        w = np.concatenate([g.edge_weight, g.edge_weight]).astype(np.float64)
-    if not weighted:
-        w = np.ones_like(w)
-    return src, dst, w
+def _weighted_adjacency(g: ServiceGraph, weighted: bool) -> csr_array:
+    """Sparse weight matrix W of successors_csr (symmetric for undirected
+    graphs); every stored weight is 1 when `weighted` is off."""
+    indptr, indices, weights = g.successors_csr()
+    data = weights.astype(np.float64) if weighted else np.ones(indices.size)
+    return csr_array((data, indices, indptr), shape=(g.N, g.N))
 
 
 def pagerank(
@@ -280,25 +274,27 @@ def pagerank(
     max_iter: int = 10_000,
 ) -> np.ndarray:
     """Power-iteration PageRank with uniform teleport; dangling mass is
-    spread uniformly. Returns a vector summing to 1."""
+    spread uniformly. Returns a vector summing to 1.
+
+    Each step is one sparse product P^T x, with P the weight matrix W
+    divided row by row by its out-strength (undirected graphs walk both
+    directions of every edge).
+    """
     n = g.N
     if n == 0:
         raise DataError("pagerank of an empty graph")
-    src, dst, w = _transition_arrays(g, weighted)
-    out_strength = np.zeros(n)
-    np.add.at(out_strength, src, w)
+    p = _weighted_adjacency(g, weighted)
+    out_strength = p @ np.ones(n)
     dangling = out_strength == 0.0
-    norm_w = w / out_strength[src]
+    p.data /= np.repeat(out_strength, np.diff(p.indptr))
+    p_t = p.T
     x = np.full(n, 1.0 / n)
     base = (1.0 - damping) / n
     for _ in range(max_iter):
-        contrib = np.zeros(n)
-        np.add.at(contrib, dst, norm_w * x[src])
-        x_new = damping * contrib + damping * x[dangling].sum() / n + base
-        if np.abs(x_new - x).sum() < tol:
-            x = x_new
+        x_old = x
+        x = damping * (p_t @ x) + damping * x[dangling].sum() / n + base
+        if np.abs(x - x_old).sum() < tol:
             break
-        x = x_new
     return x / x.sum()
 
 
@@ -309,30 +305,27 @@ def hits(
     max_iter: int = 100_000,
 ) -> tuple[np.ndarray, np.ndarray]:
     """HITS hub/authority scores by power iteration, each vector normalized
-    to unit Euclidean norm."""
+    to unit Euclidean norm. Each step is two sparse products with the
+    weight matrix W: authorities W^T h, then hubs W a."""
     n = g.N
     if n == 0:
         raise DataError("hits of an empty graph")
-    src, dst, w = _transition_arrays(g, weighted)
+    w = _weighted_adjacency(g, weighted)
     hub = np.full(n, 1.0 / math.sqrt(n))
     auth = np.zeros(n)
-    if src.size == 0:
+    if w.nnz == 0:
         return hub, hub.copy()
+    # positive weights and a positive start keep both norms above 0
+    w_t = w.T
     for _ in range(max_iter):
-        auth_new = np.zeros(n)
-        np.add.at(auth_new, dst, w * hub[src])
-        norm = np.linalg.norm(auth_new)
-        if norm > 0:
-            auth_new /= norm
-        hub_new = np.zeros(n)
-        np.add.at(hub_new, src, w * auth_new[dst])
-        norm = np.linalg.norm(hub_new)
-        if norm > 0:
-            hub_new /= norm
-        if np.abs(hub_new - hub).max() < tol and np.abs(auth_new - auth).max() < tol:
-            hub, auth = hub_new, auth_new
-            break
+        auth_new = w_t @ hub
+        auth_new /= np.linalg.norm(auth_new)
+        hub_new = w @ auth_new
+        hub_new /= np.linalg.norm(hub_new)
+        done = np.abs(hub_new - hub).max() < tol and np.abs(auth_new - auth).max() < tol
         hub, auth = hub_new, auth_new
+        if done:
+            break
     return hub, auth
 
 

@@ -2,8 +2,13 @@
 
 Everything here is deliberately independent of the package internals:
 distances come from Floyd-Warshall min-plus iteration, path counts from a
-DP over the distance matrix, reachability from boolean matrix closure.
+DP over the distance matrix, reachability from boolean matrix closure,
+expected MI from enumerating permutations, rank scores and modularity from
+dense matrices.
 """
+
+import itertools
+import math
 
 import numpy as np
 from scipy.special import zeta
@@ -324,3 +329,98 @@ def power_law_draw_oracle(alpha, xmin, u):
         else:
             lo = mid + 1
     return lo
+
+
+def _mutual_information(x, y):
+    """MI (natural log) of two label sequences of equal length."""
+    n = len(x)
+    joint, px, py = {}, {}, {}
+    for a, b in zip(x, y):
+        joint[a, b] = joint.get((a, b), 0) + 1
+        px[a] = px.get(a, 0) + 1
+        py[b] = py.get(b, 0) + 1
+    return sum(c / n * math.log(n * c / (px[a] * py[b])) for (a, b), c in joint.items())
+
+
+def expected_mi_oracle(row_sums, col_sums):
+    """Expected MI of two clusterings with these cluster sizes under the
+    permutation model, by averaging over every permutation (n <= 7)."""
+    n = sum(row_sums)
+    assert n == sum(col_sums) and n <= 7
+    x = [i for i, a in enumerate(row_sums) for _ in range(a)]
+    y = [j for j, b in enumerate(col_sums) for _ in range(b)]
+    perms = list(itertools.permutations(y))
+    return math.fsum(_mutual_information(x, p) for p in perms) / len(perms)
+
+
+def expected_mi_sum_oracle(row_sums, col_sums):
+    """The same expectation as a hypergeometric sum over every cell and every
+    cell count k (Vinh, Epps & Bailey 2010, eq. 24a), on Python floats."""
+    n = sum(row_sums)
+    lg = math.lgamma
+    total = []
+    for a in row_sums:
+        for b in col_sums:
+            for k in range(max(1, a + b - n), min(a, b) + 1):
+                log_p = (lg(a + 1) + lg(b + 1) + lg(n - a + 1) + lg(n - b + 1) - lg(n + 1)
+                         - lg(k + 1) - lg(a - k + 1) - lg(b - k + 1) - lg(n - a - b + k + 1))
+                total.append(k / n * math.log(n * k / (a * b)) * math.exp(log_p))
+    return math.fsum(total)
+
+
+def _dense_weights(g, weighted=True):
+    """Dense W[u, v]: the weight of edge u->v (both directions when
+    undirected), 1 per edge when not weighted."""
+    w = np.zeros((g.N, g.N))
+    weights = g.edge_weight if weighted else np.ones(g.M)
+    w[g.edge_src, g.edge_dst] = weights
+    if not g.directed:
+        w[g.edge_dst, g.edge_src] = weights
+    return w
+
+
+def pagerank_oracle(g, weighted=True, damping=0.85):
+    """Power iteration on the dense Google matrix: row-normalized weights,
+    dangling rows replaced by the uniform row, damped uniform teleport."""
+    n = g.N
+    w = _dense_weights(g, weighted)
+    out = w.sum(axis=1, keepdims=True)
+    walk = np.where(out > 0, w / np.where(out > 0, out, 1.0), 1.0 / n)
+    google = damping * walk + (1.0 - damping) / n
+    x = np.full(n, 1.0 / n)
+    for _ in range(100_000):
+        x_new = google.T @ x
+        if np.abs(x_new - x).sum() < 1e-15:
+            break
+        x = x_new
+    return x_new / x_new.sum()
+
+
+def hits_oracle(g, weighted=True):
+    """(hub, authority) by dense power iteration from the uniform hub vector:
+    a = W^T h, h = W a, each scaled to unit Euclidean norm."""
+    w = _dense_weights(g, weighted)
+    hub = np.full(g.N, 1.0 / math.sqrt(g.N))
+    auth = np.zeros(g.N)
+    for _ in range(1_000_000):
+        auth_new = w.T @ hub
+        auth_new /= np.linalg.norm(auth_new)
+        hub_new = w @ auth_new
+        hub_new /= np.linalg.norm(hub_new)
+        if max(np.abs(hub_new - hub).max(), np.abs(auth_new - auth).max()) < 1e-15:
+            break
+        hub, auth = hub_new, auth_new
+    return hub_new, auth_new
+
+
+def modularity_oracle(g, labels):
+    """Newman modularity (1/2m) sum_ij [A_ij - k_i k_j / 2m] [c_i == c_j] on
+    the dense symmetrized weight matrix A = W + W^T (W itself when
+    undirected); `labels` maps vertex id -> cluster."""
+    w = _dense_weights(g)
+    a = w + w.T if g.directed else w
+    k = a.sum(axis=1)
+    two_m = k.sum()
+    c = np.array([labels[v] for v in g.vertices])
+    same = c[:, None] == c[None, :]
+    return float(((a - np.outer(k, k) / two_m) * same).sum() / two_m)

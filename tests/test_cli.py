@@ -167,6 +167,35 @@ class TestExitCodes:
         assert f"config key {key!r} must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv,env", [
+        (["--set", "k_hubs=abc"], {}),
+        (["--set", "weighted_rank=maybe"], {}),
+        ([], {"ONIONGRAPH_WEIGHTED_RANK": "maybe"}),
+        ([], {"ONIONGRAPH_K_HUBS": "7.5"}),
+    ])
+    def test_config_text_of_wrong_type_is_1(self, tmp_path, capsys, monkeypatch, argv, env):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        pages = tmp_path / "s1.jsonl"
+        pages.write_text("")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"snapshots": {"S1": str(pages)},
+                                    "out_dir": str(tmp_path / "out")}))
+        assert main(["run", "--config", str(path), *argv]) == 1
+        assert "must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("word,expected", [
+        ("1", True), ("TRUE", True), ("on", True), ("yes", True),
+        ("0", False), ("false", False), ("Off", False), ("no", False),
+    ])
+    def test_bool_words_from_set_and_environment(self, monkeypatch, word, expected):
+        config = RunConfig(snapshots={}, out_dir="out", weighted_rank=not expected)
+        config.apply_override(f"weighted_rank={word}")
+        assert config.weighted_rank is expected
+        monkeypatch.setenv("ONIONGRAPH_WEIGHTED_RANK", word)
+        assert cli._env_defaults() == {"weighted_rank": expected}
+
     def test_every_config_key_has_a_type_check(self):
         assert set(cli._CONFIG_TYPES) == {f.name for f in fields(RunConfig)}
 

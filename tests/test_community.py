@@ -1,9 +1,12 @@
+import hashlib
 import io
 import math
+import random
 
 import numpy as np
 import pytest
 
+from oniongraph import community
 from oniongraph.community import (
     Partition,
     ami,
@@ -15,9 +18,17 @@ from oniongraph.community import (
     write_partition_csv,
 )
 from oniongraph.errors import DataError
-from oniongraph.graphs import ServiceGraph
+from oniongraph.graphs import ServiceGraph, build_dsg, to_usg, union
+from oniongraph.synth import CorpusSpec, generate_corpus
 
-from oracles import vid
+from oracles import (
+    expected_mi_oracle,
+    expected_mi_sum_oracle,
+    modularity_oracle,
+    random_digraph,
+    random_undirected,
+    vid,
+)
 
 
 def ug(edges, isolated=()):
@@ -55,6 +66,13 @@ def weight_planted(blocks=4, size=8, intra=9, bridge=1, seed=0):
         key = (min(u, v), max(u, v))
         dedup[key] = max(dedup.get(key, 0), w)
     return ug([(u, v, w) for (u, v), w in dedup.items()]), Partition.from_labels(planted)
+
+
+@pytest.fixture(scope="module")
+def default_union():
+    spec = CorpusSpec()
+    corpus = generate_corpus(spec)
+    return union([build_dsg(corpus.pages[s], s) for s in spec.snapshots])
 
 
 class TestLouvain:
@@ -105,6 +123,53 @@ class TestLouvain:
     def test_empty_graph_rejected(self):
         with pytest.raises(DataError):
             louvain(ServiceGraph.from_edges(False, []))
+
+    @pytest.mark.parametrize("kind,seed,sha256", [
+        ("dsg", 0, "7070a1fc201db140363e8d2a99ee5ec900546e57e76d5718bf269917d1236533"),
+        ("dsg", 1, "64cb0e1294423a46119e1442fb7c275fe0f3d99491500694982dee06361c52f7"),
+        ("dsg", 3, "ba9af3cf4cb83029f677149e852223dc2c49762cb4f030fb7275766929a9a73c"),
+        ("usg", 0, "399aec64a92094fbd03d15b3a2b8e31cd889fe403cbc2e28ce7a0f3ba9c5eb35"),
+    ])
+    def test_default_corpus_union_partitions_pinned(self, default_union, kind, seed, sha256):
+        # partition CSV bytes recorded with the dict-of-neighbours Louvain;
+        # a change here means the visit or tie-breaking order moved (seed 1
+        # changes if rows list their columns in ascending order)
+        g = default_union if kind == "dsg" else to_usg(default_union)
+        buf = io.StringIO()
+        write_partition_csv(louvain(g, seed=seed), buf)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == sha256
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_local_moves_end_with_no_improving_move(self, seed):
+        rng = np.random.default_rng(seed)
+        g = (random_digraph if seed % 2 else random_undirected)(rng, 30, 0.12)
+        rows = np.concatenate([g.edge_src, g.edge_dst])
+        cols = np.concatenate([g.edge_dst, g.edge_src])
+        weights = np.tile(g.edge_weight, 2)
+        indptr, indices, data, strength = community._csr(rows * g.N + cols, weights, g.N)
+        found, _ = community._one_level(
+            indptr.tolist(), indices.tolist(), data.tolist(), strength.tolist(),
+            strength.sum(), random.Random(seed),
+        )
+        labels = dict(zip(g.vertices, found))
+        q = modularity_oracle(g, labels)
+        # moving u into a neighbour's community changes Q by twice the gain
+        # that _one_level compares with _GAIN_EPS
+        for s, d in zip(rows.tolist(), cols.tolist()):
+            u, target = g.vertices[s], labels[g.vertices[d]]
+            if target != labels[u]:
+                moved = modularity_oracle(g, {**labels, u: target})
+                assert moved - q <= 2 * community._GAIN_EPS + 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_modularity_matches_dense_oracle(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        g = (random_digraph if seed % 2 else random_undirected)(rng, 40, 0.08)
+        part = louvain(g, seed=seed)
+        q = modularity(g, part)
+        assert q == pytest.approx(modularity_oracle(g, part.assignment), abs=1e-9)
+        singletons = {v: i for i, v in enumerate(g.vertices)}
+        assert q >= modularity_oracle(g, singletons)
 
 
 class TestModularity:
@@ -194,6 +259,59 @@ class TestAmi:
             Partition.from_labels({vid(0): 0}), Partition.from_labels({vid(99): 0})
         )
         assert math.isnan(score) and n_common == 0
+
+
+def table_with_marginals(row_sums, col_sums):
+    """A contingency table with these row and column sums."""
+    x = np.repeat(np.arange(len(row_sums)), row_sums)
+    y = np.repeat(np.arange(len(col_sums)), col_sums)
+    table = np.zeros((len(row_sums), len(col_sums)), dtype=np.int64)
+    np.add.at(table, (x, y), 1)
+    return table
+
+
+class TestExpectedMi:
+    @pytest.mark.parametrize("row_sums,col_sums", [
+        ([1, 1], [1, 1]),
+        ([2, 1], [1, 1, 1]),
+        ([2, 2, 3], [3, 4]),  # repeated row sums
+        ([1, 2, 4], [3, 2, 1, 1]),  # all-distinct row sums
+        ([3, 3], [2, 2, 2]),  # repeated on both sides
+        ([7], [2, 5]),  # a single row
+        ([1, 6], [7]),  # a single column
+        ([1] * 7, [1] * 7),
+        ([5, 1, 1], [1, 1, 5]),
+    ])
+    def test_matches_permutation_enumeration(self, row_sums, col_sums):
+        n = sum(row_sums)
+        emi = community._expected_mi(table_with_marginals(row_sums, col_sums), n)
+        oracle = expected_mi_oracle(row_sums, col_sums)
+        assert emi == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+        assert expected_mi_sum_oracle(row_sums, col_sums) == pytest.approx(
+            oracle, rel=1e-9, abs=1e-12
+        )
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_hypergeometric_sum_on_random_tables(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(30, 400))
+        # few clusters give repeated sizes, many give mostly distinct ones
+        k1, k2 = (int(k) for k in rng.integers(1, [6, 40]))
+        x = rng.integers(0, k1, n)
+        y = rng.integers(0, k2, n) if seed % 2 else (x + rng.integers(0, 2, n)) % k2
+        table = np.zeros((k1, k2), dtype=np.int64)
+        np.add.at(table, (x, y), 1)
+        table = table[table.sum(axis=1) > 0][:, table.sum(axis=0) > 0]
+        rows, cols = table.sum(axis=1).tolist(), table.sum(axis=0).tolist()
+        assert community._expected_mi(table, n) == pytest.approx(
+            expected_mi_sum_oracle(rows, cols), rel=1e-9, abs=1e-12
+        )
+
+    @pytest.mark.parametrize("shape", [(1, 5), (4, 1)])
+    def test_trivial_side_is_exactly_zero(self, shape):
+        rng = np.random.default_rng(1)
+        table = rng.integers(1, 9, size=shape)
+        assert community._expected_mi(table, int(table.sum())) == 0.0
 
 
 class TestClusterSizes:

@@ -70,9 +70,9 @@ class TestServiceGraph:
 
     def test_neighbors(self):
         g = dg([("a.onion", "b.onion", 1), ("c.onion", "b.onion", 1)])
-        b = g.index["b.onion"]
-        assert sorted(g.in_neighbors(b).tolist()) == [g.index["a.onion"], g.index["c.onion"]]
-        assert g.out_neighbors(b).size == 0
+        edges = g.edge_weight_map()
+        assert sorted(u for u, v in edges if v == "b.onion") == ["a.onion", "c.onion"]
+        assert not [v for u, v in edges if u == "b.onion"]
 
 
 class TestBuildDsg:

@@ -28,8 +28,10 @@ from oracles import (
     eccentricity_oracle,
     floyd_warshall,
     global_transitivity_oracle,
+    hits_oracle,
     local_efficiency_oracle,
     local_transitivity_oracle,
+    pagerank_oracle,
     random_digraph,
     random_undirected,
     vid,
@@ -239,6 +241,27 @@ class TestVertexMetrics:
         hub, auth = hits(g)
         assert np.linalg.norm(hub) == pytest.approx(1.0, abs=1e-9)
         assert np.linalg.norm(auth) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    @pytest.mark.parametrize("seed,directed", [(0, True), (1, True), (2, False), (3, False)])
+    def test_rank_scores_match_dense_oracles(self, seed, directed, weighted):
+        rng = np.random.default_rng(40 + seed)
+        if directed:
+            g = random_digraph(rng, 25, 0.12)
+            # drop the out-edges of two vertices so the walk has dangling ends
+            keep = (g.edge_src != 0) & (g.edge_src != 7)
+            g = ServiceGraph(True, g.vertices, g.edge_src[keep], g.edge_dst[keep],
+                             g.edge_weight[keep])
+            assert np.any(g.out_degrees() == 0)
+        else:
+            g = random_undirected(rng, 25, 0.15)
+        assert pagerank(g, weighted=weighted) == pytest.approx(
+            pagerank_oracle(g, weighted=weighted), abs=1e-9
+        )
+        hub, auth = hits(g, weighted=weighted)
+        hub_oracle, auth_oracle = hits_oracle(g, weighted=weighted)
+        assert hub == pytest.approx(hub_oracle, abs=1e-9)
+        assert auth == pytest.approx(auth_oracle, abs=1e-9)
 
     @pytest.mark.parametrize("seed,directed", [(0, True), (1, True), (2, False), (3, False)])
     def test_suite_matches_oracles_on_random_graphs(self, seed, directed):
