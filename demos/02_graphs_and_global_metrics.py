@@ -4,19 +4,20 @@ From each snapshot we build the directed service graph (an edge per linked
 service pair, weighted by hyperlink multiplicity) and reduce it to the
 undirected mutual-link graph. Intersection and union graphs separate the
 stable core from everything seen at least once. Global metrics are
-computed on the giant weakly connected component, distances unweighted.
+computed on the giant weakly connected component, distances unweighted,
+as reductions of the same all-sources pass that gives the per-vertex metrics.
 """
 
 from oniongraph import (
     CorpusSpec,
     build_dsg,
-    compute_global_metrics,
     generate_corpus,
     giant_wcc,
     hub_reach_curve,
     intersect,
     to_usg,
     union,
+    vertex_metrics,
 )
 
 corpus = generate_corpus(CorpusSpec(n_services=300, community_size=25, n_linkers=100, seed=5))
@@ -33,7 +34,7 @@ graphs["usg_union"] = union(list(usgs.values()))
 header = f"{'graph':18s} {'N':>5s} {'M':>6s} {'<deg>':>6s} {'rho':>7s} {'d':>3s} {'<dist>':>7s} {'E_glo':>6s}"
 print(header)
 for name, g in graphs.items():
-    gm = compute_global_metrics(giant_wcc(g))
+    gm = vertex_metrics(giant_wcc(g)).global_metrics
     rho = "n/a" if gm.assortativity != gm.assortativity else f"{gm.assortativity:+.3f}"
     print(f"{name:18s} {gm.n:5d} {gm.m:6d} {gm.avg_degree:6.2f} {rho:>7s} "
           f"{gm.diameter:3d} {gm.avg_distance:7.3f} {gm.global_efficiency:6.3f}")

@@ -40,8 +40,6 @@ from .graphs import (
 from .metrics import (
     GlobalMetrics,
     VertexMetrics,
-    compute_global_metrics,
-    distance_stats,
     hits,
     hub_reach_curve,
     pagerank,

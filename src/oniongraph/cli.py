@@ -44,7 +44,7 @@ from .community import (
     write_partition_csv,
 )
 from .errors import DataError, OnionGraphError, StageError, UsageError
-from .fitting import DEFAULT_MIN_TAIL, bootstrap_pvalue, fit_power_law, fit_report
+from .fitting import DEFAULT_MIN_TAIL, PowerLawFit, bootstrap_pvalue, fit_report
 from .graphs import (
     ServiceGraph,
     build_dsg,
@@ -56,7 +56,6 @@ from .graphs import (
     write_graph_file,
 )
 from .metrics import (
-    compute_global_metrics,
     hub_reach_curve,
     read_vertex_metrics_csv,
     vertex_metrics,
@@ -315,9 +314,11 @@ def _metrics(g: ServiceGraph, component: str, lcratio, weighted_rank: bool,
     is given."""
     giant = giant_wcc(g)
     target = giant if component == "giant-wcc" else g
-    texts = {"global.json": dump_json(compute_global_metrics(target).to_dict())}
     vm = vertex_metrics(target, lcratio_by_service=lcratio, weighted_rank=weighted_rank)
-    texts["vertices.csv"] = _csv_text(write_vertex_metrics_csv, vm)
+    texts = {
+        "global.json": dump_json(vm.global_metrics.to_dict()),
+        "vertices.csv": _csv_text(write_vertex_metrics_csv, vm),
+    }
     if k_hubs is not None:
         curve = hub_reach_curve(giant, k=k_hubs)
         texts["hubreach.json"] = dump_json({"k": k_hubs, "curve": curve})
@@ -328,9 +329,10 @@ def _fit(degrees, min_tail: int, n_boot: int, seed: int) -> str:
     """Fit report JSON for the positive entries of `degrees`, with the
     bootstrap goodness-of-fit fields when `n_boot` > 0."""
     sample = degrees[degrees > 0]
-    report = fit_report(sample, min_tail=min_tail).to_dict()
+    fit = fit_report(sample, min_tail=min_tail)
+    report = fit.to_dict()
     if n_boot > 0:
-        pl = fit_power_law(sample, min_tail=min_tail)
+        pl = PowerLawFit(fit.alpha, fit.xmin, fit.ks_distance, fit.n_tail, fit.tail_fraction)
         boot = bootstrap_pvalue(sample, pl, n_boot=n_boot, seed=seed, min_tail=min_tail)
         report["bootstrap_p"] = boot.p_value
         report["bootstrap_replicates"] = boot.n_replicates

@@ -1,5 +1,11 @@
 """Global and per-vertex topology metrics.
 
+`vertex_metrics` makes one all-sources distance pass per graph. It returns
+the per-vertex vectors and, as reductions of the same pass, the global
+metrics (`VertexMetrics.global_metrics`): diameter is the largest
+eccentricity, mean distance and global efficiency sum the reached pairs,
+and transitivity or clustering sums the per-vertex closed pairs.
+
 All distance-based quantities are unweighted: edge weights express link
 multiplicity (endorsement strength), not length, so they never alter
 shortest paths. Weights do enter PageRank and HITS by default, where they
@@ -7,7 +13,9 @@ bias the random surfer / endorsement flow; a flag turns that off.
 
 Infinite distances are handled with the finite-paths convention: means and
 maxima run over finite ordered pairs only, and 1/inf counts as 0 in the
-efficiency sums.
+efficiency sums. A metric with no value on a small graph is NaN: mean
+distance with no reached pair, global efficiency below 2 vertices,
+centralization below 3.
 """
 
 from __future__ import annotations
@@ -41,6 +49,8 @@ VERTEX_CSV_COLUMNS = [
     "eccentricity",
     "lcratio",
 ]
+# columns written and read as integers; the rest are floats, NaN left empty
+_COUNT_COLUMNS = ("in_degree", "out_degree", "degree")
 
 
 # -- distance pass ------------------------------------------------------------
@@ -107,34 +117,6 @@ def _brandes_accumulate(dist, esrc, edst, source, n, betweenness) -> None:
 # -- global metrics ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DistanceStats:
-    diameter: int
-    avg_distance: float
-    global_efficiency: float
-
-
-def distance_stats(g: ServiceGraph) -> DistanceStats:
-    """Diameter, mean shortest-path length over finite ordered pairs, and
-    global efficiency (1/(N(N-1)) * sum of inverse distances, 1/inf = 0)."""
-    n = g.N
-    if n < 2:
-        raise DataError("distance statistics need at least 2 vertices")
-    diameter = 0
-    finite_sum = 0
-    finite_count = 0
-    inv_sum = 0.0
-    for _, d in _distance_blocks(g):
-        reach = d[np.isfinite(d) & (d > 0)]
-        if reach.size:
-            diameter = max(diameter, int(reach.max()))
-            finite_sum += int(reach.sum())
-            finite_count += int(reach.size)
-            inv_sum += float((1.0 / reach).sum())
-    avg = finite_sum / finite_count if finite_count else math.nan
-    return DistanceStats(diameter, avg, inv_sum / (n * (n - 1)))
-
-
 def assortativity(g: ServiceGraph) -> float:
     """Degree correlation across edges.
 
@@ -171,11 +153,11 @@ def centralization(g: ServiceGraph) -> float:
     """Degree centralization: 1 on a star, 0 when all degrees are equal.
 
     Directed graphs use out-degrees with an (N-1)^2 normalizer; undirected
-    use plain degrees with (N-1)(N-2).
+    use plain degrees with (N-1)(N-2). NaN below 3 vertices.
     """
     n = g.N
     if n < 3:
-        raise DataError("centralization needs at least 3 vertices")
+        return math.nan
     if g.directed:
         deg = g.out_degrees()
         return float(n * deg.max() - deg.sum()) / ((n - 1) ** 2)
@@ -183,19 +165,10 @@ def centralization(g: ServiceGraph) -> float:
     return float(n * deg.max() - deg.sum()) / ((n - 1) * (n - 2))
 
 
-def global_transitivity(g: ServiceGraph) -> float:
-    """Directed: fraction of ordered out-neighbor pairs (v, w) of any vertex
-    that are themselves linked in at least one direction. Undirected: closed
-    triplets over all triplets. NaN when no open triple exists."""
-    k = np.diff(g.successors_csr()[0])
-    triples = int((k * (k - 1)).sum())
-    if triples == 0:
-        return math.nan
-    return int(_closed_pairs(g).sum()) / triples
-
-
 @dataclass(frozen=True)
 class GlobalMetrics:
+    """Whole-graph metrics; vertex_metrics fills them from its distance pass."""
+
     directed: bool
     n: int
     m: int
@@ -217,42 +190,6 @@ class GlobalMetrics:
     def to_dict(self) -> dict:
         """The fields, less those of the other directedness (left None)."""
         return {k: v for k, v in asdict(self).items() if v is not None}
-
-
-def compute_global_metrics(g: ServiceGraph) -> GlobalMetrics:
-    """Assemble the full global-metrics record for one graph."""
-    stats = distance_stats(g)
-    rho = assortativity(g)
-    cen = centralization(g)
-    tra = global_transitivity(g)
-    if g.directed:
-        return GlobalMetrics(
-            directed=True,
-            n=g.N,
-            m=g.M,
-            avg_degree=g.M / g.N,
-            assortativity=rho,
-            diameter=stats.diameter,
-            avg_distance=stats.avg_distance,
-            global_efficiency=stats.global_efficiency,
-            max_in_degree_norm=float(g.in_degrees().max()) / g.N,
-            max_out_degree_norm=float(g.out_degrees().max()) / g.N,
-            out_centralization=cen,
-            transitivity=tra,
-        )
-    return GlobalMetrics(
-        directed=False,
-        n=g.N,
-        m=g.M,
-        avg_degree=2.0 * g.M / g.N,
-        assortativity=rho,
-        diameter=stats.diameter,
-        avg_distance=stats.avg_distance,
-        global_efficiency=stats.global_efficiency,
-        max_degree_norm=float(g.degrees().max()) / g.N,
-        centralization=cen,
-        clustering=tra,
-    )
 
 
 # -- rank scores -------------------------------------------------------------
@@ -335,7 +272,8 @@ def hits(
 @dataclass
 class VertexMetrics:
     """Per-vertex metric vectors aligned with `vertices`; NaN marks
-    not-a-value entries (e.g. local efficiency of a degree-1 vertex)."""
+    not-a-value entries (e.g. local efficiency of a degree-1 vertex).
+    `global_metrics` is None when the vectors were read back from CSV."""
 
     directed: bool
     vertices: tuple[str, ...]
@@ -351,27 +289,17 @@ class VertexMetrics:
     transitivity: np.ndarray
     eccentricity: np.ndarray
     lcratio: np.ndarray = field(default=None)
+    global_metrics: GlobalMetrics | None = None
 
     def metric_columns(self) -> dict[str, np.ndarray]:
-        """Metric name -> vector, adapted to directedness (undirected graphs
-        report a single degree column)."""
-        cols: dict[str, np.ndarray] = {}
-        if self.directed:
-            cols["in_degree"] = self.in_degree.astype(np.float64)
-            cols["out_degree"] = self.out_degree.astype(np.float64)
-        cols["degree"] = self.degree.astype(np.float64)
-        cols.update(
-            betweenness=self.betweenness,
-            closeness=self.closeness,
-            pagerank=self.pagerank,
-            authscore=self.authscore,
-            hubscore=self.hubscore,
-            efficiency=self.efficiency,
-            transitivity=self.transitivity,
-            eccentricity=self.eccentricity,
-            lcratio=self.lcratio,
-        )
-        return cols
+        """Metric name -> float vector in VERTEX_CSV_COLUMNS order, adapted
+        to directedness (undirected graphs report a single degree column)."""
+        skip = {"vertex"} if self.directed else {"vertex", "in_degree", "out_degree"}
+        return {
+            name: np.asarray(getattr(self, name), dtype=np.float64)
+            for name in VERTEX_CSV_COLUMNS
+            if name not in skip
+        }
 
 
 def vertex_metrics(
@@ -379,13 +307,16 @@ def vertex_metrics(
     lcratio_by_service: dict[str, float] | None = None,
     weighted_rank: bool = True,
 ) -> VertexMetrics:
-    """Compute the full per-vertex metric suite in one all-sources pass.
+    """Compute the per-vertex metric suite and the global metrics in one
+    all-sources pass.
 
     Betweenness follows Brandes over ordered (s, t) pairs; closeness uses
     incoming distances with the reachable-count rescaling so disconnected
     graphs stay comparable; eccentricity is the max finite outgoing
     distance. Local efficiency/transitivity look at the (out-)neighborhood
-    and are NaN below degree 2.
+    and are NaN below degree 2. The global metrics reduce the same
+    distances and closed pairs (see the module docstring); graphs of 1 or 2
+    vertices are accepted, with NaN where a global metric has no value.
     """
     n = g.N
     if n == 0:
@@ -402,6 +333,7 @@ def vertex_metrics(
     sum_in = np.zeros(n)  # sum of finite d(u, v) over sources u (into v)
     cnt_in = np.zeros(n, dtype=np.int64)
     eff_sum = np.zeros(n)
+    inv_sum = 0.0  # sum of 1/d(u, v) over reached pairs, for global efficiency
 
     for rows, d in _distance_blocks(g):
         reached = np.isfinite(d) & (d > 0)  # finite and not the source itself
@@ -413,6 +345,7 @@ def vertex_metrics(
         # of v among the block's sources and each neighbor w of v;
         # (A @ inv.T)[v, u] sums over w, A's column slice keeps u adjacent to v
         inv = np.divide(1.0, d, out=np.zeros_like(d), where=reached)
+        inv_sum += float(inv[reached].sum())
         eff_sum += np.asarray(a[:, rows[0] : rows[-1] + 1].multiply(a @ inv.T).sum(axis=1)).ravel()
         dist = np.where(np.isfinite(d), d, -1).astype(np.int64)
         for s, row in zip(rows.tolist(), dist):
@@ -429,13 +362,14 @@ def vertex_metrics(
     degree = out_deg + in_deg
 
     # the local metrics look at out-neighbors (all neighbors when undirected)
-    k = np.diff(a.indptr)
+    k = np.diff(g.successors_csr()[0])
+    ordered = k * (k - 1)  # ordered pairs of distinct (out-)neighbors
     local = k >= 2
-    pairs = (k * (k - 1))[local]
+    closed = _closed_pairs(g)
     efficiency = np.full(n, np.nan)
-    efficiency[local] = eff_sum[local] / pairs
+    efficiency[local] = eff_sum[local] / ordered[local]
     transitivity = np.full(n, np.nan)
-    transitivity[local] = _closed_pairs(g)[local] / pairs
+    transitivity[local] = closed[local] / ordered[local]
 
     pr = pagerank(g, weighted=weighted_rank)
     hub, auth = hits(g, weighted=weighted_rank)
@@ -445,6 +379,35 @@ def vertex_metrics(
         for i, vid in enumerate(g.vertices):
             if vid in lcratio_by_service:
                 lcr[i] = lcratio_by_service[vid]
+
+    pair_count = int(cnt_in.sum())
+    triples = int(ordered.sum())
+    global_transitivity = int(closed.sum()) / triples if triples else math.nan
+    cen = centralization(g)
+    if g.directed:
+        by_directedness = dict(
+            max_in_degree_norm=float(in_deg.max()) / n,
+            max_out_degree_norm=float(out_deg.max()) / n,
+            out_centralization=cen,
+            transitivity=global_transitivity,
+        )
+    else:
+        by_directedness = dict(
+            max_degree_norm=float(degree.max()) / n,
+            centralization=cen,
+            clustering=global_transitivity,
+        )
+    global_metrics = GlobalMetrics(
+        directed=g.directed,
+        n=n,
+        m=g.M,
+        avg_degree=(g.M if g.directed else 2 * g.M) / n,
+        assortativity=assortativity(g),
+        diameter=int(ecc.max()),
+        avg_distance=int(sum_in.sum()) / pair_count if pair_count else math.nan,
+        global_efficiency=inv_sum / (n * (n - 1)) if n > 1 else math.nan,
+        **by_directedness,
+    )
 
     return VertexMetrics(
         directed=g.directed,
@@ -461,6 +424,7 @@ def vertex_metrics(
         transitivity=transitivity,
         eccentricity=ecc,
         lcratio=lcr,
+        global_metrics=global_metrics,
     )
 
 
@@ -492,67 +456,35 @@ def hub_reach_curve(g: ServiceGraph, k: int = 25) -> np.ndarray:
 
 def write_vertex_metrics_csv(vm: VertexMetrics, fh) -> None:
     """One row per vertex; not-a-value cells are left empty."""
+    columns = [list(vm.vertices)]
+    for name in VERTEX_CSV_COLUMNS[1:]:
+        if name in _COUNT_COLUMNS:
+            columns.append(np.asarray(getattr(vm, name), dtype=np.int64).tolist())
+        else:
+            values = np.asarray(getattr(vm, name), dtype=np.float64).tolist()
+            columns.append(["" if math.isnan(v) else repr(v) for v in values])
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(VERTEX_CSV_COLUMNS)
-    arrays = {
-        "in_degree": vm.in_degree,
-        "out_degree": vm.out_degree,
-        "degree": vm.degree,
-        "betweenness": vm.betweenness,
-        "closeness": vm.closeness,
-        "pagerank": vm.pagerank,
-        "authscore": vm.authscore,
-        "hubscore": vm.hubscore,
-        "efficiency": vm.efficiency,
-        "transitivity": vm.transitivity,
-        "eccentricity": vm.eccentricity,
-        "lcratio": vm.lcratio,
-    }
-    for i, vid in enumerate(vm.vertices):
-        row = [vid]
-        for name in VERTEX_CSV_COLUMNS[1:]:
-            value = arrays[name][i]
-            if isinstance(value, (np.floating, float)) and math.isnan(float(value)):
-                row.append("")
-            elif name in ("in_degree", "out_degree", "degree"):
-                row.append(int(value))
-            else:
-                row.append(repr(float(value)))
-        writer.writerow(row)
+    writer.writerows(zip(*columns))
 
 
-def read_vertex_metrics_csv(fh) -> "VertexMetrics":
-    """Inverse of write_vertex_metrics_csv (degree columns as ints, empty
-    cells as NaN). Directedness is inferred from in/out degree equality."""
+def read_vertex_metrics_csv(fh) -> VertexMetrics:
+    """Inverse of write_vertex_metrics_csv (count columns as ints, empty
+    cells as NaN, no global metrics). Directedness is inferred from in/out
+    degree equality."""
     reader = csv.reader(fh)
-    header = next(reader)
-    if header != VERTEX_CSV_COLUMNS:
+    if next(reader) != VERTEX_CSV_COLUMNS:
         raise DataError("unexpected vertex metrics CSV header")
     rows = list(reader)
-    vertices = tuple(r[0] for r in rows)
-
-    def col(name, dtype=np.float64):
-        j = VERTEX_CSV_COLUMNS.index(name)
-        vals = [r[j] for r in rows]
-        if dtype is np.int64:
-            return np.array([int(v) for v in vals], dtype=np.int64)
-        return np.array([float(v) if v != "" else np.nan for v in vals])
-
-    in_deg = col("in_degree", np.int64)
-    out_deg = col("out_degree", np.int64)
+    cells = {name: [r[j] for r in rows] for j, name in enumerate(VERTEX_CSV_COLUMNS)}
+    columns = {
+        name: np.array([int(v) for v in cells[name]], dtype=np.int64)
+        if name in _COUNT_COLUMNS
+        else np.array([float(v) if v != "" else np.nan for v in cells[name]])
+        for name in VERTEX_CSV_COLUMNS[1:]
+    }
     return VertexMetrics(
-        directed=not np.array_equal(in_deg, out_deg),
-        vertices=vertices,
-        in_degree=in_deg,
-        out_degree=out_deg,
-        degree=col("degree", np.int64),
-        betweenness=col("betweenness"),
-        closeness=col("closeness"),
-        pagerank=col("pagerank"),
-        authscore=col("authscore"),
-        hubscore=col("hubscore"),
-        efficiency=col("efficiency"),
-        transitivity=col("transitivity"),
-        eccentricity=col("eccentricity"),
-        lcratio=col("lcratio"),
+        directed=not np.array_equal(columns["in_degree"], columns["out_degree"]),
+        vertices=tuple(cells["vertex"]),
+        **columns,
     )

@@ -142,19 +142,22 @@ def spearman(x: np.ndarray, y: np.ndarray) -> float:
     return float(rx @ ry) / denom
 
 
+def _write_matrix_csv(fh, rows, columns, values) -> None:
+    """One CSV row per metric in `rows`, one cell per entry of `columns`;
+    NaN cells are left empty."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["metric"] + list(columns))
+    for name, line in zip(rows, values):
+        writer.writerow([name] + ["" if math.isnan(v) else repr(float(v)) for v in line])
+
+
 @dataclass(frozen=True)
 class CorrelationMatrix:
     names: tuple[str, ...]
     values: np.ndarray  # symmetric, unit diagonal, NaN where undefined
 
     def write_csv(self, fh) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["metric"] + list(self.names))
-        for i, name in enumerate(self.names):
-            row = [name]
-            for v in self.values[i]:
-                row.append("" if math.isnan(v) else repr(float(v)))
-            writer.writerow(row)
+        _write_matrix_csv(fh, self.names, self.names, self.values)
 
 
 def spearman_matrix(vm: VertexMetrics) -> CorrelationMatrix:
@@ -263,13 +266,7 @@ class GainTable:
     results: tuple[GainResult, ...]
 
     def write_csv(self, fh) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["metric"] + list(self.labels))
-        for i, name in enumerate(self.metrics):
-            row = [name]
-            for v in self.values[i]:
-                row.append("" if math.isnan(v) else repr(float(v)))
-            writer.writerow(row)
+        _write_matrix_csv(fh, self.metrics, self.labels, self.values)
 
 
 def gain_report(vm: VertexMetrics, labels: LabelSet) -> GainTable:

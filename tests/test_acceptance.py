@@ -24,8 +24,6 @@ from oniongraph.fitting import (
 from oniongraph.graphs import ServiceGraph, intersect, to_usg, union
 from oniongraph.metrics import (
     centralization,
-    distance_stats,
-    global_transitivity,
     pagerank,
     vertex_metrics,
 )
@@ -95,7 +93,7 @@ def test_criterion_3_analytic_fixed_points():
     three_cycle = ServiceGraph.from_edges(
         True, [(vid(0), vid(1), 1), (vid(1), vid(2), 1), (vid(2), vid(0), 1)]
     )
-    assert distance_stats(three_cycle).global_efficiency == 0.75
+    assert vertex_metrics(three_cycle).global_metrics.global_efficiency == 0.75
 
     out_star = ServiceGraph.from_edges(
         True, [("hub.onion", f"leaf{i}.onion", 1) for i in range(6)]
@@ -115,7 +113,7 @@ def test_criterion_3_analytic_fixed_points():
     triangle = ServiceGraph.from_edges(
         False, [(vid(0), vid(1), 1), (vid(1), vid(2), 1), (vid(0), vid(2), 1)]
     )
-    assert global_transitivity(triangle) == 1.0
+    assert vertex_metrics(triangle).global_metrics.clustering == 1.0
 
     n = 9
     directed_cycle = ServiceGraph.from_edges(

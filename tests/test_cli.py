@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from oniongraph import cli
+from oniongraph import cli, fitting, metrics
 from oniongraph.cli import RunConfig, dump_json, main, run_pipeline, sha256_file
 from oniongraph.errors import DataError, StageError
 from oniongraph.synth import CorpusSpec, generate_corpus
@@ -124,6 +124,70 @@ class TestSubcommands:
         out = tmp_path / "fit.json"
         assert main(["fit", "--degrees-csv", str(vc), "--column", "out_degree",
                      "--min-tail", "20", "--out", str(out)]) == 0
+
+    def test_metrics_of_one_edge_graph(self, tmp_path):
+        graph = tmp_path / "pair.tsv"
+        graph.write_text("# directed\na.onion\tb.onion\t1\n")
+        gj = tmp_path / "g.json"
+        assert main(["metrics", "--graph", str(graph), "--global-json", str(gj),
+                     "--vertex-csv", str(tmp_path / "v.csv")]) == 0
+        text = gj.read_text()
+        assert '"out_centralization": null' in text
+        payload = json.loads(text)
+        assert (payload["n"], payload["diameter"], payload["global_efficiency"]) == (2, 1, 0.5)
+
+    def test_fit_scans_once_before_the_bootstrap(self, monkeypatch):
+        calls = []
+        original = fitting.fit_power_law
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for module in (fitting, cli):
+            if getattr(module, "fit_power_law", None) is original:
+                monkeypatch.setattr(module, "fit_power_law", counting)
+        sample = fitting.sample_power_law(2.5, 1, 400, np.random.default_rng(4))
+        report = json.loads(cli._fit(sample, min_tail=20, n_boot=3, seed=0))
+        assert len(calls) == 1 + 3
+        assert report["bootstrap_replicates"] <= 3
+
+
+def count_calls(monkeypatch, module, names):
+    """Name -> call count of the module functions `names`, from now on."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counting(*args, _name=name, _original=getattr(module, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+class TestOnePassPerGraph:
+    """The all-sources distance pass and the closed-pair product run once
+    for each analysed graph: the global metrics reduce the vertex pass."""
+
+    PASSES = ("_distance_blocks", "_closed_pairs")
+
+    def test_run(self, corpus_dir, tmp_path, monkeypatch):
+        root, paths, corpus = corpus_dir
+        counts = count_calls(monkeypatch, metrics, self.PASSES)
+        manifest = run_pipeline(RunConfig.from_dict(make_config(paths, corpus, tmp_path / "out")))
+        graphs = sum(a["path"].endswith(".global.json") for a in manifest["artifacts"])
+        assert graphs == 10
+        assert counts == dict.fromkeys(self.PASSES, graphs)
+
+    def test_metrics_subcommand(self, corpus_dir, tmp_path, monkeypatch):
+        root, paths, corpus = corpus_dir
+        snap = corpus.spec.snapshots[0]
+        graph = tmp_path / "g.tsv"
+        assert main(["build", str(paths[snap]), "--snapshot", snap, "--out", str(graph)]) == 0
+        counts = count_calls(monkeypatch, metrics, self.PASSES)
+        assert main(["metrics", "--graph", str(graph), "--global-json", str(tmp_path / "g.json"),
+                     "--vertex-csv", str(tmp_path / "v.csv")]) == 0
+        assert counts == dict.fromkeys(self.PASSES, 1)
 
 
 class TestExitCodes:
@@ -543,6 +607,21 @@ class TestSubcommandParity:
         out = tmp_path / artifact.name
         assert main(["stats", mode, *inputs, "--out", str(out)]) == 0
         assert_same_bytes(out, artifact)
+
+
+# SHA-256 of `run` outputs on the test corpus, recorded while the global
+# metrics still came from their own distance pass
+METRIC_PINS = {
+    "dsg_union.global.json": "c9a9d3236baa90a2e94bca226f3a3adfa9e2101741664c8f636db1e5a3b4b7e1",
+    "dsg_union.vertices.csv": "3ffd0ea778981687316d92b12a8b7cc2f9889a31ffd4906b14a5ca6abd9a9ab9",
+    "usg_union.global.json": "9084fea95f930e827d1092b02f75d801a9604ec43b3e3c6e9f1fe3e638ea455a",
+    "usg_union.vertices.csv": "117cf07f1585feb57d77b46770b0718a1de647998a9da786a453e0c34b5ad6fb",
+}
+
+
+@pytest.mark.parametrize("name", sorted(METRIC_PINS))
+def test_metric_artifacts_match_pins(run_out, name):
+    assert sha256_file(run_out / "metrics" / name) == METRIC_PINS[name]
 
 
 def test_ami_matrix_is_exactly_symmetric(run_out):

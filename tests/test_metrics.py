@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -7,11 +8,9 @@ from oniongraph import metrics
 from oniongraph.errors import DataError
 from oniongraph.graphs import ServiceGraph, giant_wcc
 from oniongraph.metrics import (
+    VERTEX_CSV_COLUMNS,
     assortativity,
     centralization,
-    compute_global_metrics,
-    distance_stats,
-    global_transitivity,
     hits,
     hub_reach_curve,
     pagerank,
@@ -60,34 +59,46 @@ def cycle(n=5, directed=False):
     return ServiceGraph.from_edges(directed, edges)
 
 
+def global_of(g):
+    return vertex_metrics(g).global_metrics
+
+
+def global_transitivity(g):
+    gm = global_of(g)
+    return gm.transitivity if g.directed else gm.clustering
+
+
 class TestDistanceStats:
     def test_single_directed_edge(self):
-        stats = distance_stats(dg([("a.onion", "b.onion", 1)]))
+        stats = global_of(dg([("a.onion", "b.onion", 1)]))
         assert stats.diameter == 1
         assert stats.avg_distance == 1.0
         assert stats.global_efficiency == 0.5
 
     def test_directed_three_cycle(self):
         # six ordered pairs: three at distance 1, three at distance 2
-        stats = distance_stats(cycle(3, directed=True))
+        stats = global_of(cycle(3, directed=True))
         assert stats.global_efficiency == pytest.approx(0.75, abs=1e-12)
         assert stats.diameter == 2
         assert stats.avg_distance == pytest.approx(1.5, abs=1e-12)
 
     def test_undirected_path(self):
-        stats = distance_stats(ug(PATH3))
+        stats = global_of(ug(PATH3))
         assert stats.diameter == 2
         assert stats.avg_distance == pytest.approx(4 / 3, abs=1e-12)
 
-    def test_single_vertex_rejected(self):
-        with pytest.raises(DataError):
-            distance_stats(ServiceGraph.from_edges(True, [], isolated_vertices=["a.onion"]))
+    def test_single_vertex_has_no_distances(self):
+        gm = global_of(ServiceGraph.from_edges(True, [], isolated_vertices=["a.onion"]))
+        assert gm.n == 1 and gm.m == 0 and gm.diameter == 0
+        for value in (gm.avg_distance, gm.global_efficiency, gm.assortativity,
+                      gm.out_centralization, gm.transitivity):
+            assert math.isnan(value)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_enumeration_oracle(self, seed):
         rng = np.random.default_rng(seed)
         g = random_digraph(rng, int(rng.integers(5, 40)), 0.1)
-        stats = distance_stats(g)
+        stats = global_of(g)
         d, avg, eglo = distance_stats_oracle(floyd_warshall(g))
         assert stats.diameter == d
         assert stats.avg_distance == pytest.approx(avg, abs=1e-12, nan_ok=True)
@@ -96,7 +107,7 @@ class TestDistanceStats:
     def test_removing_edge_never_increases_efficiency(self):
         rng = np.random.default_rng(11)
         g = random_digraph(rng, 18, 0.15)
-        base = distance_stats(g).global_efficiency
+        base = global_of(g).global_efficiency
         triples = list(zip(g.edge_src.tolist(), g.edge_dst.tolist(), g.edge_weight.tolist()))
         for drop in range(0, len(triples), max(1, len(triples) // 5)):
             kept = [
@@ -105,12 +116,12 @@ class TestDistanceStats:
                 if i != drop
             ]
             smaller = ServiceGraph.from_edges(True, kept, isolated_vertices=g.vertices)
-            assert distance_stats(smaller).global_efficiency <= base + 1e-12
+            assert global_of(smaller).global_efficiency <= base + 1e-12
 
     def test_undirected_connected_inequalities(self):
         rng = np.random.default_rng(3)
         g = giant_wcc(random_undirected(rng, 25, 0.15))
-        stats = distance_stats(g)
+        stats = global_of(g)
         assert stats.avg_distance >= 1.0
         assert stats.diameter >= stats.avg_distance
         assert stats.global_efficiency >= 1.0 / stats.diameter - 1e-12
@@ -157,9 +168,13 @@ class TestCentralization:
     def test_cycle_is_uncentralized(self):
         assert centralization(cycle(6)) == 0.0
 
-    def test_small_graph_rejected(self):
-        with pytest.raises(DataError):
-            centralization(ug([("a.onion", "b.onion", 1)]))
+    def test_small_graph_is_nan(self):
+        pair = ug([("a.onion", "b.onion", 1)])
+        assert math.isnan(centralization(pair))
+        assert math.isnan(centralization(dg([("a.onion", "b.onion", 1)])))
+        gm = global_of(pair)
+        assert math.isnan(gm.centralization)
+        assert (gm.diameter, gm.avg_distance, gm.global_efficiency) == (1, 1.0, 1.0)
 
 
 class TestGlobalTransitivity:
@@ -298,11 +313,13 @@ class TestVertexMetrics:
         np.testing.assert_allclose(
             vm.transitivity, local_transitivity_oracle(g), atol=1e-9, equal_nan=True
         )
-        stats = distance_stats(g)
+        gm = vm.global_metrics
         d, avg, eglo = distance_stats_oracle(dist)
-        assert stats.diameter == d
-        assert stats.avg_distance == pytest.approx(avg, abs=1e-12)
-        assert stats.global_efficiency == pytest.approx(eglo, abs=1e-12)
+        assert gm.diameter == d
+        assert gm.avg_distance == pytest.approx(avg, abs=1e-12)
+        assert gm.global_efficiency == pytest.approx(eglo, abs=1e-12)
+        tra = gm.transitivity if directed else gm.clustering
+        assert tra == pytest.approx(global_transitivity_oracle(g), abs=1e-12)
 
     def test_degree_one_vertex_gets_nan_locals(self):
         vm = vertex_metrics(dg([("a.onion", "b.onion", 1)]))
@@ -351,7 +368,8 @@ def test_metric_ranges_on_random_graphs(seed):
     g = random_digraph(rng, n, 0.1) if directed else random_undirected(rng, n, 0.12)
     if g.M == 0 or g.N < 3:
         return
-    gm = compute_global_metrics(g)
+    vm = vertex_metrics(g)
+    gm = vm.global_metrics
     assert 0.0 <= gm.global_efficiency <= 1.0
     if math.isfinite(gm.avg_distance):
         assert gm.diameter >= gm.avg_distance
@@ -363,7 +381,6 @@ def test_metric_ranges_on_random_graphs(seed):
     cen = gm.out_centralization if directed else gm.centralization
     assert 0.0 <= cen <= 1.0 + 1e-12
 
-    vm = vertex_metrics(g)
     assert vm.pagerank.sum() == pytest.approx(1.0, abs=1e-9)
     assert np.all(vm.pagerank >= 0)
     assert np.all(vm.betweenness >= -1e-12)
@@ -373,10 +390,10 @@ def test_metric_ranges_on_random_graphs(seed):
 
 
 def test_global_metrics_container_fields():
-    gm = compute_global_metrics(dg(TRIANGLE))
+    gm = global_of(dg(TRIANGLE))
     d = gm.to_dict()
     assert d["directed"] and "out_centralization" in d and "clustering" not in d
-    gm = compute_global_metrics(ug(TRIANGLE))
+    gm = global_of(ug(TRIANGLE))
     d = gm.to_dict()
     assert not d["directed"] and "clustering" in d and "transitivity" not in d
     assert d["avg_degree"] == pytest.approx(2.0)
@@ -395,3 +412,20 @@ def test_vertex_metrics_csv_round_trip(tmp_path):
     np.testing.assert_allclose(back.betweenness, vm.betweenness, atol=0)
     np.testing.assert_allclose(back.lcratio, vm.lcratio, equal_nan=True)
     np.testing.assert_array_equal(back.in_degree, vm.in_degree)
+    assert back.global_metrics is None
+
+
+def test_undirected_vertex_metrics_csv_round_trip():
+    rng = np.random.default_rng(13)
+    g = random_undirected(rng, 20, 0.2)
+    vm = vertex_metrics(g, lcratio_by_service={g.vertices[1]: 0.5})
+    text = io.StringIO()
+    write_vertex_metrics_csv(vm, text)
+    back = read_vertex_metrics_csv(io.StringIO(text.getvalue()))
+    assert vm.global_metrics is not None and back.global_metrics is None
+    assert back.vertices == vm.vertices
+    for name in VERTEX_CSV_COLUMNS[1:]:
+        np.testing.assert_array_equal(getattr(back, name), getattr(vm, name))
+    again = io.StringIO()
+    write_vertex_metrics_csv(back, again)
+    assert again.getvalue() == text.getvalue()
