@@ -10,7 +10,8 @@ one implementation per stage. Subcommand outputs are written atomically
 succeeds, so a failed run leaves `out_dir` as it was. An `out_dir` that is
 neither absent, empty, nor exactly an earlier run (a run `manifest.json`
 listing every other file in it) is refused with exit code 1.
-Runs with identical config and seeds are byte-identical.
+Runs with identical config and seeds are byte-identical, however many CPUs
+`run` spreads its per-graph analyses over (one forked worker per usable CPU).
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 Config defaults can also come from ONIONGRAPH_* environment variables
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -37,6 +39,7 @@ from . import __version__
 from .bowtie import bowtie_decompose
 from .community import (
     DEFAULT_LOUVAIN_SEED,
+    Partition,
     ami,
     ami_on_common,
     louvain,
@@ -351,6 +354,129 @@ def _prevalence_json(labels: LabelSet, g: ServiceGraph) -> str:
     return dump_json(tag_prevalence(labels, g).to_dict())
 
 
+# -- per-graph analysis ------------------------------------------------------------
+
+# The stages `run` applies to each graph, in the order it applies them.
+GRAPH_STAGES = ("metrics", "fit", "communities", "bowtie", "stats")
+# The stage named for a failure of the worker pool itself: a worker that
+# died, or an outcome that could not be sent back. The stage such a task
+# reached is unknown, so it ranks before every stage of GRAPH_STAGES.
+POOL_STAGE = "workers"
+_FAILURE_ORDER = (POOL_STAGE, *GRAPH_STAGES)
+
+
+@dataclass
+class _Analysis:
+    """One graph's analysis: its artifacts (path in the run -> text), its
+    partition and its skipped outputs. `stage` is the last stage it entered
+    and `error` what stopped it there, if anything did."""
+
+    texts: dict[str, str] = field(default_factory=dict)
+    partition: Partition | None = None
+    skipped: list[dict] = field(default_factory=list)
+    stage: str = GRAPH_STAGES[0]
+    error: Exception | None = None
+
+
+def _analyse_graph(config: RunConfig, labels: LabelSet | None, graphs: dict[str, ServiceGraph],
+                   lcr_for: dict[str, dict[str, float]], name: str) -> _Analysis:
+    """Every stage of GRAPH_STAGES on graph `name`, in order; writes no file.
+    A failure is returned in the outcome, not raised, so the caller can pick
+    the one a stage-by-stage run over all graphs would meet first."""
+    g = graphs[name]
+    out = _Analysis()
+    try:
+        texts, vm = _metrics(g, config.component_policy, lcr_for[name], config.weighted_rank,
+                             config.k_hubs)
+        for suffix, text in texts.items():
+            out.texts[f"metrics/{name}.{suffix}"] = text
+
+        out.stage = "fit"
+        kinds = (("in", g.in_degrees()), ("out", g.out_degrees())) if g.directed \
+            else (("degree", g.degrees()),)
+        for kind, degrees in kinds:
+            try:
+                text = _fit(degrees, config.fit_min_tail, config.fit_bootstrap, config.seed_fit)
+            except DataError as exc:
+                text = dump_json({"error": str(exc)})
+            out.texts[f"fits/{name}.{kind}.json"] = text
+
+        out.stage = "communities"
+        out.partition = louvain(g, seed=config.seed_louvain)
+        out.texts[f"communities/{name}.partition.csv"] = _csv_text(write_partition_csv,
+                                                                   out.partition)
+
+        out.stage = "bowtie"
+        if g.directed:
+            out.texts[f"bowtie/{name}.json"] = dump_json(bowtie_decompose(g).to_dict())
+
+        out.stage = "stats"
+        out.texts[f"stats/{name}.corr.csv"] = _corr_csv(vm)
+        if labels is not None:
+            for mode, fname, text in (
+                ("prevalence", f"{name}.prevalence.json", lambda: _prevalence_json(labels, g)),
+                ("gain", f"{name}.gain.csv", lambda: _gain_csv(vm, labels)),
+            ):
+                try:
+                    out.texts[f"stats/{fname}"] = text()
+                except DataError as exc:
+                    out.skipped.append({"stage": f"stats.{mode}.{name}", "reason": str(exc)})
+    except Exception as exc:  # handed to the caller, which reports it as a StageError
+        out.error = exc
+    return out
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+# the per-graph task of a pool worker, inherited from the parent at fork
+_pool_task = None
+
+
+def _set_pool_task(task) -> None:
+    global _pool_task
+    _pool_task = task
+
+
+def _call_pool_task(name: str) -> _Analysis:
+    return _pool_task(name)
+
+
+def _outcome(future) -> _Analysis:
+    try:
+        return future.result()
+    except Exception as exc:  # the worker died, or the outcome could not be sent back
+        return _Analysis(stage=POOL_STAGE, error=exc)
+
+
+def _analyse_all(task, names: list[str]) -> dict[str, _Analysis]:
+    """Name -> `task(name)` for each of `names`, started in the order given.
+
+    The tasks run in a pool of forked worker processes, one per usable CPU
+    and at most one per name; with one worker, or where `fork` is not
+    available, they run one after another in this process. Forked workers
+    inherit `task` and the graphs it holds without pickling them; the
+    pipeline starts no thread of its own before the fork.
+    """
+    # imported here, not with the module: at module level these imports
+    # raised the subcommands' peak memory by 2-3 MiB (`stages-6000` chain)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    workers = min(len(names), _usable_cpus())
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return {name: task(name) for name in names}
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_set_pool_task, initargs=(task,)) as pool:
+        futures = {name: pool.submit(_call_pool_task, name) for name in names}
+        return {name: _outcome(future) for name, future in futures.items()}
+
+
 # -- pipeline ----------------------------------------------------------------------
 
 
@@ -461,71 +587,37 @@ def run_pipeline(config: RunConfig) -> dict:
                 raise DataError(f"graph {name} is empty")
             write_graph_file(g, path(f"graphs/{name}.tsv"))
 
-        # metrics ---------------------------------------------------------------
-        stage = "metrics"
-        vms = {}
-        for name in sorted(graphs):
-            texts, vms[name] = _metrics(graphs[name], config.component_policy, lcr_for[name],
-                                        config.weighted_rank, config.k_hubs)
-            for suffix, text in texts.items():
-                write(f"metrics/{name}.{suffix}", text)
-
-        # fits ---------------------------------------------------------------------
-        stage = "fit"
-        for name in sorted(graphs):
-            g = graphs[name]
-            kinds = (("in", g.in_degrees()), ("out", g.out_degrees())) if g.directed \
-                else (("degree", g.degrees()),)
-            for kind, degrees in kinds:
-                try:
-                    text = _fit(degrees, config.fit_min_tail, config.fit_bootstrap,
-                                config.seed_fit)
-                except DataError as exc:
-                    text = dump_json({"error": str(exc)})
-                write(f"fits/{name}.{kind}.json", text)
-
-        # communities ------------------------------------------------------------------
-        stage = "communities"
+        # metrics, fit, communities, bowtie, stats: one task per graph ----------
+        stage = POOL_STAGE  # until every outcome is in, a failure is the pool's
+        task = functools.partial(_analyse_graph, config, labels, graphs, lcr_for)
+        analyses = _analyse_all(task, sorted(graphs, key=lambda name: (-graphs[name].M, name)))
         names = sorted(graphs)
-        partitions = {}
+        # the failure the stage-major order meets first: earliest stage, then graph name
+        failed = sorted((_FAILURE_ORDER.index(analyses[name].stage), name)
+                        for name in names if analyses[name].error is not None)
+        if failed:
+            first = analyses[failed[0][1]]
+            stage = first.stage
+            raise first.error
         for name in names:
-            partitions[name] = louvain(graphs[name], seed=config.seed_louvain)
-            write(f"communities/{name}.partition.csv",
-                  _csv_text(write_partition_csv, partitions[name]))
+            for rel, text in analyses[name].texts.items():
+                write(rel, text)
+            skipped.extend(analyses[name].skipped)
+        if labels is None:
+            skipped.append({"stage": "stats.labels", "reason": "no labels configured"})
+
+        stage = "communities"
         # the matrix is symmetric, so each pair is scored once and mirrored
         matrix = [[0.0] * len(names) for _ in names]
         common_counts = [[0] * len(names) for _ in names]
         for i, a in enumerate(names):
             for j in range(i, len(names)):
-                score, n_common = ami_on_common(partitions[a], partitions[names[j]])
+                score, n_common = ami_on_common(analyses[a].partition,
+                                                analyses[names[j]].partition)
                 matrix[i][j] = matrix[j][i] = score
                 common_counts[i][j] = common_counts[j][i] = n_common
         write("communities/ami_matrix.json",
               dump_json({"graphs": names, "ami": matrix, "common_vertices": common_counts}))
-
-        # bow-tie -------------------------------------------------------------------------
-        stage = "bowtie"
-        for name in names:
-            if graphs[name].directed:
-                write(f"bowtie/{name}.json", dump_json(bowtie_decompose(graphs[name]).to_dict()))
-
-        # stats ----------------------------------------------------------------------------
-        stage = "stats"
-        for name in names:
-            write(f"stats/{name}.corr.csv", _corr_csv(vms[name]))
-            if labels is None:
-                continue
-            for mode, fname, text in (
-                ("prevalence", f"{name}.prevalence.json",
-                 lambda: _prevalence_json(labels, graphs[name])),
-                ("gain", f"{name}.gain.csv", lambda: _gain_csv(vms[name], labels)),
-            ):
-                try:
-                    write(f"stats/{fname}", text())
-                except DataError as exc:
-                    skipped.append({"stage": f"stats.{mode}.{name}", "reason": str(exc)})
-        if labels is None:
-            skipped.append({"stage": "stats.labels", "reason": "no labels configured"})
 
         # manifest ----------------------------------------------------------------------------
         stage = "manifest"

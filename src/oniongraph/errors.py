@@ -34,3 +34,8 @@ class StageError(OnionGraphError):
         super().__init__(f"stage '{stage}' failed: {cause}")
         self.stage = stage
         self.cause = cause
+
+    def __reduce__(self):
+        # rebuilt from (stage, cause), not from the formatted message, so a
+        # StageError survives the pickle round trip of a worker process
+        return type(self), (self.stage, self.cause)

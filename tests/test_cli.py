@@ -1,4 +1,6 @@
+import concurrent.futures
 import json
+import multiprocessing
 import os
 import stat
 from dataclasses import fields
@@ -9,6 +11,7 @@ import pytest
 from oniongraph import cli, fitting, metrics
 from oniongraph.cli import RunConfig, dump_json, main, run_pipeline, sha256_file
 from oniongraph.errors import DataError, StageError
+from oniongraph.graphs import read_graph_file
 from oniongraph.synth import CorpusSpec, generate_corpus
 
 
@@ -173,6 +176,8 @@ class TestOnePassPerGraph:
 
     def test_run(self, corpus_dir, tmp_path, monkeypatch):
         root, paths, corpus = corpus_dir
+        # counted in this process, so the graphs are analysed in this process
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
         counts = count_calls(monkeypatch, metrics, self.PASSES)
         manifest = run_pipeline(RunConfig.from_dict(make_config(paths, corpus, tmp_path / "out")))
         graphs = sum(a["path"].endswith(".global.json") for a in manifest["artifacts"])
@@ -504,6 +509,100 @@ class TestOutputDirectory:
         cfg_path = write_config(tmp_path, cfg)
         before = tree_of(tmp_path)
         assert main(["run", "--config", str(cfg_path)]) == 1
+        assert tree_of(tmp_path) == before
+
+
+# -- the per-graph analyses of `run` on a pool of worker processes ------------------
+
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="the worker pool forks its workers")
+
+
+def force_workers(monkeypatch, workers):
+    """Make `run` use `workers` worker processes (1: analyse in this process);
+    return the worker counts of the pools it starts."""
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+    pools = []
+    real_pool = concurrent.futures.ProcessPoolExecutor
+
+    def pool(max_workers, **kwargs):
+        pools.append(max_workers)
+        return real_pool(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    return pools
+
+
+def run_main(tmp_path, cfg, capsys):
+    """Exit code and standard error of `oniongraph run` on `cfg`."""
+    capsys.readouterr()
+    code = main(["run", "--config", str(write_config(tmp_path, cfg))])
+    return code, capsys.readouterr().err
+
+
+@needs_fork
+class TestWorkerPool:
+    def test_pool_and_in_process_write_the_same_run(self, corpus_dir, tmp_path, monkeypatch):
+        root, paths, corpus = corpus_dir
+        out = tmp_path / "out"
+        cfg = make_config(paths, corpus, out, fit_bootstrap=PARITY_BOOTSTRAP)
+        trees = {}
+        for workers in (2, 1):
+            pools = force_workers(monkeypatch, workers)
+            run_pipeline(RunConfig.from_dict(cfg))
+            assert pools == ([2] if workers == 2 else [])
+            trees[workers] = tree_of(out)
+        assert trees[2] == trees[1]
+        assert len([rel for rel in trees[1] if rel.endswith(".partition.csv")]) == 10
+
+    def test_first_failure_in_stage_order_is_reported(self, corpus_dir, run_out, tmp_path,
+                                                       monkeypatch, capsys):
+        root, paths, corpus = corpus_dir
+        cfg = make_config(paths, corpus, tmp_path / "out")
+        real_louvain = cli.louvain
+
+        def louvain(g, seed):
+            if not g.directed:
+                raise DataError(f"injected louvain failure on N={g.N} M={g.M}")
+            return real_louvain(g, seed=seed)
+
+        def bowtie(g):
+            raise DataError(f"injected bow-tie failure on N={g.N} M={g.M}")
+
+        monkeypatch.setattr(cli, "louvain", louvain)
+        monkeypatch.setattr(cli, "bowtie_decompose", bowtie)
+        reported = {}
+        for workers in (1, 2):
+            pools = force_workers(monkeypatch, workers)
+            reported[workers] = run_main(tmp_path, cfg, capsys)
+        assert pools == [2]
+        # a stage-by-stage run over the graphs in name order meets the
+        # communities stage of usg_SNP1 before any directed graph's bow-tie
+        first = read_graph_file(run_out / "graphs" / "usg_SNP1.tsv")
+        message = f"stage 'communities' failed: injected louvain failure on N={first.N} M={first.M}"
+        assert reported[1] == reported[2] == (2, f"error: {message}\n")
+        assert os.listdir(tmp_path / "out") == []
+
+    def test_killed_worker_fails_the_run_and_keeps_the_previous_one(
+            self, corpus_dir, tmp_path, monkeypatch, capsys):
+        root, paths, corpus = corpus_dir
+        cfg = make_config(paths, corpus, tmp_path / "out")
+        assert run_main(tmp_path, cfg, capsys)[0] == 0
+        before = tree_of(tmp_path)
+        parent = os.getpid()
+        real_louvain = cli.louvain
+
+        def louvain(g, seed):
+            if os.getpid() != parent and not g.directed:
+                os._exit(1)
+            return real_louvain(g, seed=seed)
+
+        monkeypatch.setattr(cli, "louvain", louvain)
+        pools = force_workers(monkeypatch, 2)
+        code, err = run_main(tmp_path, cfg, capsys)
+        assert (code, pools) == (3, [2])
+        assert err.startswith("error: stage 'workers' failed: ")
+        # no .staging-* or .old-* directory is left behind either
         assert tree_of(tmp_path) == before
 
 
