@@ -3,13 +3,19 @@
 The power law is the discrete zeta-normalized model p(x) = x^-alpha /
 zeta(alpha, xmin) on integers x >= xmin; the cutoff xmin is chosen by
 scanning every distinct sample value and keeping the one whose fitted
-model minimizes the Kolmogorov-Smirnov distance to the empirical tail.
+model lies closest to the empirical tail in Kolmogorov-Smirnov distance.
 
 Degrees are integers, so the competing log-normal is discretized too
 (mass of the continuous log-normal over (x-1/2, x+1/2], renormalized over
 x >= xmin). Both models are then proper pmfs over the same support, which
 keeps the per-point log-likelihood comparison coherent. The bundled
 samplers invert these exact pmfs.
+
+The two solvers are step-for-step ports of scipy.optimize's and give its
+results bit for bit: a bounded Brent search finds alpha, in lock-step for
+every candidate cutoff of a scan, and Nelder-Mead fits (mu, log sigma).
+Owning them keeps scipy.optimize out of every process that imports the
+package, and the fits independent of the installed scipy's optimizer.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 from scipy.special import erfc, ndtr, ndtri, zeta
 
 from .errors import DataError, UsageError
@@ -98,16 +103,88 @@ def _as_sample(sample) -> np.ndarray:
 # -- discrete power law -----------------------------------------------------
 
 
-def _pl_alpha_mle(values: np.ndarray, counts: np.ndarray, xmin: int) -> float:
-    n = counts.sum()
-    slog = float(counts @ np.log(values))
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
 
-    def nll(alpha: float) -> float:
-        return alpha * slog + n * math.log(zeta(alpha, xmin))
 
-    res = minimize_scalar(nll, bounds=_ALPHA_BOUNDS, method="bounded",
-                          options={"xatol": 1e-9})
-    return float(res.x)
+def _bounded_brent(f, size: int, bounds, xatol: float, maxfun: int) -> np.ndarray:
+    """The argmin of each of `size` scalar functions on one interval.
+
+    Every lane runs scipy.optimize's bounded Brent method step for step, all
+    in lock-step. f(x, lanes) returns the objectives of the problems `lanes`
+    at the points x. A lane leaves the loop when it converges; every lane
+    stops after maxfun evaluations.
+    """
+    lo, hi = bounds
+    out = np.empty(size)
+    lane = np.arange(size)
+    a, b = np.full(size, float(lo)), np.full(size, float(hi))
+    xf = nfc = fulc = a + _GOLDEN * (b - a)  # the best, second and third points
+    fx = fnfc = ffulc = f(xf, lane)
+    e = rat = np.zeros(size)  # the step before last, and the last step
+    num = 1
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        go = np.abs(xf - xm) > tol2 - 0.5 * (b - a)
+        out[lane[~go]] = xf[~go]
+        if not go.any():
+            return out
+        lane, a, b, xf, fx, nfc, fnfc, fulc, ffulc, e, rat, xm, tol1, tol2 = (
+            v[go] for v in (lane, a, b, xf, fx, nfc, fnfc, fulc, ffulc, e, rat, xm, tol1, tol2)
+        )
+        # a parabola through the three points, kept where it is acceptable;
+        # golden-section lanes compute it too, and may divide by q == 0
+        para = np.abs(e) > tol1
+        r = (xf - nfc) * (fx - ffulc)
+        q = (xf - fulc) * (fx - fnfc)
+        p = (xf - fulc) * q - (xf - nfc) * r
+        q = 2.0 * (q - r)
+        p = np.where(q > 0.0, -p, p)
+        q = np.abs(q)
+        parabolic = (para & (np.abs(p) < np.abs(0.5 * q * e))
+                     & (p > q * (a - xf)) & (p < q * (b - xf)))
+        e = np.where(para, rat, e)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = (p + 0.0) / q
+        x = xf + step
+        step = np.where((x - a < tol2) | (b - x < tol2),
+                        tol1 * (np.sign(xm - xf) + ((xm - xf) == 0)), step)
+        e = np.where(parabolic, e, np.where(xf >= xm, a - xf, b - xf))
+        rat = np.where(parabolic, step, _GOLDEN * e)
+        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
+        fu = f(x, lane)
+        num += 1
+        # shrink the bracket onto the better point and rotate the points
+        better = fu <= fx
+        a = np.where(better & (x >= xf), xf, np.where(~better & (x < xf), x, a))
+        b = np.where(better & (x < xf), xf, np.where(~better & (x >= xf), x, b))
+        second = ~better & ((fu <= fnfc) | (nfc == xf))
+        third = ~better & ~second & ((fu <= ffulc) | (fulc == xf) | (fulc == nfc))
+        fulc, ffulc = (np.where(better | second, nfc, np.where(third, x, fulc)),
+                       np.where(better | second, fnfc, np.where(third, fu, ffulc)))
+        nfc, fnfc = (np.where(better, xf, np.where(second, x, nfc)),
+                     np.where(better, fx, np.where(second, fu, fnfc)))
+        xf, fx = np.where(better, x, xf), np.where(better, fu, fx)
+        if num >= maxfun:
+            out[lane] = xf
+            return out
+
+
+def _pl_alpha_mle(slog: np.ndarray, n: np.ndarray, xmin: np.ndarray) -> np.ndarray:
+    """MLE alpha of the discrete power law on each of a batch of tails.
+
+    Tail i has n[i] observations at or above xmin[i] whose logs sum to
+    slog[i]. One zeta call per Brent step serves every unconverged tail.
+    """
+    n = n.astype(np.float64)
+
+    def nll(alpha: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        logz = [math.log(z) for z in zeta(alpha, xmin[lanes]).tolist()]
+        return alpha * slog[lanes] + n[lanes] * np.array(logz)
+
+    return _bounded_brent(nll, slog.size, _ALPHA_BOUNDS, xatol=1e-9, maxfun=500)
 
 
 def _pl_ks(values: np.ndarray, counts: np.ndarray, alpha: float, xmin: int) -> float:
@@ -144,37 +221,33 @@ def fit_power_law(
         raise DataError("degenerate tail: sample needs at least two distinct values")
     n = x.size
 
+    tail_sizes = counts[::-1].cumsum()[::-1]  # tail count at each distinct value
     if xmin is not None:
-        keep = values >= xmin
-        v, c = values[keep], counts[keep]
-        n_tail = int(c.sum())
+        j = int(np.searchsorted(values, xmin))
+        n_tail = int(tail_sizes[j]) if j < values.size else 0
         if n_tail < min_tail:
             raise DataError(f"insufficient tail: {n_tail} observations at cutoff {xmin}")
-        if v.size < 2:
-            raise DataError("degenerate tail: fixed cutoff leaves one distinct value")
-        alpha = _pl_alpha_mle(v, c, int(xmin))
-        ks = _pl_ks(v, c, alpha, int(xmin))
-        return PowerLawFit(alpha=alpha, xmin=int(xmin), ks_distance=ks,
-                           n_tail=n_tail, tail_fraction=n_tail / n)
-
-    tail_sizes = counts[::-1].cumsum()[::-1]  # tail count at each distinct value
-    best = None
-    had_min_tail = False
-    for j, xmin in enumerate(values):
-        if tail_sizes[j] < min_tail:
-            continue
-        had_min_tail = True
         if values.size - j < 2:
-            continue
-        v, c = values[j:], counts[j:]
-        alpha = _pl_alpha_mle(v, c, int(xmin))
-        ks = _pl_ks(v, c, alpha, int(xmin))
-        if best is None or ks < best[0] - 1e-15:
-            best = (ks, int(xmin), alpha, int(tail_sizes[j]))
-    if best is None:
-        if had_min_tail:
+            raise DataError("degenerate tail: fixed cutoff leaves one distinct value")
+        cands = np.array([j])
+        xmins = np.array([int(xmin)])
+    else:
+        cands = np.flatnonzero(tail_sizes >= min_tail)
+        if cands.size == 0:
+            raise DataError(f"insufficient tail: no cutoff keeps {min_tail} observations")
+        cands = cands[cands < values.size - 1]  # at least two distinct values
+        if cands.size == 0:
             raise DataError("degenerate tail: no candidate cutoff with two distinct values")
-        raise DataError(f"insufficient tail: no cutoff keeps {min_tail} observations")
+        xmins = values[cands]
+    # each tail logs its own slice: a slice of one shared log array may sum
+    # in another order and move alpha in the last bit
+    slog = np.array([float(counts[j:] @ np.log(values[j:])) for j in cands])
+    alphas = _pl_alpha_mle(slog, tail_sizes[cands], xmins)
+    best = None
+    for j, cut, alpha in zip(cands.tolist(), xmins.tolist(), alphas.tolist()):
+        ks = _pl_ks(values[j:], counts[j:], alpha, cut)
+        if best is None or ks < best[0] - 1e-15:
+            best = (ks, cut, alpha, int(tail_sizes[j]))
     ks, xmin, alpha, n_tail = best
     return PowerLawFit(alpha=alpha, xmin=xmin, ks_distance=ks, n_tail=n_tail,
                        tail_fraction=n_tail / n)
@@ -237,6 +310,59 @@ def lognormal_logpmf(x: np.ndarray, mu: float, sigma: float, xmin: int) -> np.nd
     return np.log(mass) - math.log(max(norm, 1e-300))
 
 
+def _nelder_mead(f, x0: np.ndarray, xatol: float, fatol: float, maxiter: int) -> np.ndarray:
+    """The argmin of f from x0 by scipy.optimize's Nelder-Mead method (not
+    adaptive, no bounds, no evaluation cap), step for step.
+
+    Returns the best vertex once the simplex spans at most xatol in every
+    coordinate and fatol in value, or after maxiter iterations.
+    """
+    n = x0.size
+    sim = np.empty((n + 1, n), dtype=x0.dtype)
+    sim[0] = x0
+    for k in range(n):
+        y = np.array(x0, copy=True)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.array([f(v) for v in sim], dtype=float)
+    for _ in range(2):  # scipy sorts twice here; argsort may permute ties
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]  # reflection
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]  # expansion
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                xc = 1.5 * xbar - 0.5 * sim[-1]  # outside contraction
+                fxc = f(xc)
+                shrink = not fxc <= fxr
+            else:
+                xc = 0.5 * xbar + 0.5 * sim[-1]  # inside contraction
+                fxc = f(xc)
+                shrink = not fxc < fsim[-1]
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+            else:
+                sim[-1], fsim[-1] = xc, fxc
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0]
+
+
 def fit_lognormal(sample, xmin: int) -> LognormalFit:
     """MLE of the truncated discretized log-normal on the tail x >= xmin."""
     x = _as_sample(sample)
@@ -259,9 +385,9 @@ def fit_lognormal(sample, xmin: int) -> LognormalFit:
         ll = counts @ lognormal_logpmf(values, mu, sigma, xmin)
         return -float(ll)
 
-    res = minimize(nll, x0=np.array([mu0, math.log(sigma0)]), method="Nelder-Mead",
-                   options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 2000})
-    mu, sigma = float(res.x[0]), float(math.exp(res.x[1]))
+    best = _nelder_mead(nll, np.array([mu0, math.log(sigma0)]),
+                        xatol=1e-8, fatol=1e-10, maxiter=2000)
+    mu, sigma = float(best[0]), float(math.exp(best[1]))
     return LognormalFit(mu=mu, sigma=sigma, xmin=int(xmin), n_tail=int(tail.size),
                         low_confidence=values.size <= _LOW_CONFIDENCE_DISTINCT)
 

@@ -4,13 +4,15 @@ Everything here is deliberately independent of the package internals:
 distances come from Floyd-Warshall min-plus iteration, path counts from a
 DP over the distance matrix, reachability from boolean matrix closure,
 expected MI from enumerating permutations, rank scores and modularity from
-dense matrices.
+dense matrices. The fit solvers are ported from scipy.optimize, so their
+references are scipy.optimize itself.
 """
 
 import itertools
 import math
 
 import numpy as np
+from scipy.optimize import minimize, minimize_scalar
 from scipy.special import zeta
 
 from oniongraph.graphs import ServiceGraph
@@ -329,6 +331,20 @@ def power_law_draw_oracle(alpha, xmin, u):
         else:
             lo = mid + 1
     return lo
+
+
+def bounded_brent_oracle(f, bounds, xatol, maxiter):
+    """scipy's bounded Brent minimizer of the scalar function f."""
+    res = minimize_scalar(f, bounds=bounds, method="bounded",
+                          options={"xatol": xatol, "maxiter": maxiter})
+    return float(res.x)
+
+
+def nelder_mead_oracle(f, x0, xatol, fatol, maxiter):
+    """scipy's Nelder-Mead minimizer of f from x0."""
+    res = minimize(f, x0=x0, method="Nelder-Mead",
+                   options={"xatol": xatol, "fatol": fatol, "maxiter": maxiter})
+    return res.x
 
 
 def _mutual_information(x, y):

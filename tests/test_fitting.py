@@ -1,11 +1,20 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import zeta
 
+import oniongraph
 from oniongraph.errors import DataError, UsageError
 from oniongraph.fitting import (
+    _ALPHA_BOUNDS,
+    _bounded_brent,
+    _nelder_mead,
+    _pl_alpha_mle,
     bootstrap_pvalue,
     compare_fits,
     fit_lognormal,
@@ -17,7 +26,7 @@ from oniongraph.fitting import (
     sample_power_law,
     _vuong,
 )
-from oracles import power_law_draw_oracle
+from oracles import bounded_brent_oracle, nelder_mead_oracle, power_law_draw_oracle
 
 
 def brute_force_ks(sample, alpha, xmin):
@@ -273,3 +282,190 @@ def test_fit_report_fields():
     assert 0 < d["tail_fraction"] <= 1
     assert d["lognormal_sigma"] > 0
     assert d["better"] in ("power_law", "log_normal", "tie")
+
+
+def random_tails(seed, count):
+    """(slog, n, xmin) of `count` drawn power-law tails with two or more values."""
+    rng = np.random.default_rng(seed)
+    tails = []
+    while len(tails) < count:
+        xmin = int(rng.integers(1, 50))
+        x = sample_power_law(rng.uniform(1.2, 6.0), xmin, int(rng.integers(2, 3000)), rng)
+        values, counts = np.unique(x, return_counts=True)
+        if values.size >= 2:
+            tails.append((float(counts @ np.log(values)), int(counts.sum()), xmin))
+    return tails
+
+
+def alpha_oracle(slog, n, xmin):
+    def nll(alpha):
+        return alpha * slog + n * math.log(zeta(alpha, xmin))
+
+    return bounded_brent_oracle(nll, _ALPHA_BOUNDS, xatol=1e-9, maxiter=500)
+
+
+def lognormal_nll(sample, xmin):
+    """fit_lognormal's objective and start point for the tail of sample."""
+    values, counts = np.unique(sample[sample >= xmin], return_counts=True)
+
+    def nll(params):
+        mu, log_sigma = params
+        sigma = math.exp(log_sigma)
+        if sigma > 50.0:
+            return 1e12
+        return -float(counts @ lognormal_logpmf(values, mu, sigma, xmin))
+
+    logs = np.log(sample[sample >= xmin].astype(np.float64))
+    return nll, np.array([logs.mean(), math.log(max(logs.std(), 0.05))])
+
+
+def wavy(x):
+    return (x - 3.3) ** 4 + np.cos(5 * x)
+
+
+def rosenbrock(p):
+    return float((1 - p[0]) ** 2 + 100 * (p[1] - p[0] ** 2) ** 2)
+
+
+class TestSolvers:
+    """The in-package solvers give scipy.optimize's minimizers bit for bit."""
+
+    def test_alpha_batch_matches_bounded_brent(self):
+        tails = random_tails(11, 220)
+        slog, n, xmin = (np.array(col) for col in zip(*tails))
+        alphas = _pl_alpha_mle(slog, n, xmin)
+        assert [a.hex() for a in alphas.tolist()] == [alpha_oracle(*t).hex() for t in tails]
+
+    def test_brent_matches_on_random_functions(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            lo = rng.uniform(-5, 3)
+            hi = lo + rng.uniform(0.01, 10)
+            c = rng.normal(size=3)
+
+            def f(x, c=c):
+                return c[0] * x + c[1] * np.sin(3 * x) + c[2] ** 2 * x * x
+
+            got = _bounded_brent(lambda x, lanes: f(x), 1, (lo, hi), 1e-9, 500)[0]
+            assert got.hex() == bounded_brent_oracle(f, (lo, hi), 1e-9, 500).hex()
+
+    @pytest.mark.parametrize("maxfun", [2, 3, 5, 8])
+    def test_brent_stops_at_maxfun(self, maxfun):
+        calls = []
+
+        def f(x, lanes):
+            calls.append(x.size)
+            return wavy(x)
+
+        got = _bounded_brent(f, 1, (0.0, 10.0), 1e-9, maxfun)[0]
+        assert len(calls) == maxfun
+        assert got.hex() == bounded_brent_oracle(wavy, (0.0, 10.0), 1e-9, maxfun).hex()
+        assert got != _bounded_brent(lambda x, lanes: wavy(x), 1, (0.0, 10.0), 1e-9, 500)[0]
+
+    @pytest.mark.parametrize("slog,n,xmin,bound", [
+        (1e8, 2, 1, 0),  # log-mean far beyond any sample: alpha at the lower bound
+        (math.log(2.0), 10**12, 1, 1),  # all but one value at xmin: alpha at the upper bound
+    ])
+    def test_alpha_at_a_bound(self, slog, n, xmin, bound):
+        alpha = _pl_alpha_mle(np.array([slog]), np.array([n]), np.array([xmin]))[0]
+        assert alpha == pytest.approx(_ALPHA_BOUNDS[bound], abs=1e-6)
+        assert alpha.hex() == alpha_oracle(slog, n, xmin).hex()
+
+    def test_alpha_batches_of_one_and_none(self):
+        (slog, n, xmin), = random_tails(13, 1)
+        alpha = _pl_alpha_mle(np.array([slog]), np.array([n]), np.array([xmin]))
+        assert alpha.shape == (1,) and alpha[0].hex() == alpha_oracle(slog, n, xmin).hex()
+        empty = _pl_alpha_mle(np.array([]), np.array([], dtype=np.int64),
+                              np.array([], dtype=np.int64))
+        assert empty.shape == (0,)
+
+    def test_nelder_mead_matches_on_lognormal_fits(self):
+        rng = np.random.default_rng(15)
+        solved = 0
+        while solved < 200:
+            xmin = int(rng.integers(1, 10))
+            size = int(rng.integers(20, 2000))
+            x = np.rint(rng.lognormal(rng.uniform(-1, 3), rng.uniform(0.2, 1.5), size)) + 1
+            x = x.astype(np.int64)
+            if np.unique(x[x >= xmin]).size < 2:
+                continue
+            nll, x0 = lognormal_nll(x, xmin)
+            solved += 1
+            if solved % 7 == 0:
+                x0[solved % 2] = 0.0  # the zero-coordinate simplex step
+            got = _nelder_mead(nll, x0, 1e-8, 1e-10, 2000)
+            want = nelder_mead_oracle(nll, x0, 1e-8, 1e-10, 2000)
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+
+    @pytest.mark.parametrize("x0", [[0.0, 0.0], [0.0, 1.5], [-1.2, 0.0]])
+    def test_nelder_mead_zero_coordinate(self, x0):
+        x0 = np.array(x0)
+        got = _nelder_mead(rosenbrock, x0, 1e-8, 1e-10, 2000)
+        want = nelder_mead_oracle(rosenbrock, x0, 1e-8, 1e-10, 2000)
+        assert got.tolist() == want.tolist()
+        assert got == pytest.approx([1.0, 1.0], abs=1e-4)
+
+    @pytest.mark.parametrize("maxiter", [1, 2, 5, 40])
+    def test_nelder_mead_stops_at_maxiter(self, maxiter):
+        x0 = np.array([-1.2, 1.0])
+        got = _nelder_mead(rosenbrock, x0, 1e-8, 1e-10, maxiter)
+        assert got.tolist() == nelder_mead_oracle(rosenbrock, x0, 1e-8, 1e-10, maxiter).tolist()
+        assert rosenbrock(got) > 1e-6
+
+    @pytest.mark.parametrize("seed", [77, 4000, 4001])
+    def test_fixed_cutoff_at_scan_choice_gives_scan_bits(self, seed):
+        rng = np.random.default_rng(seed)
+        x = np.concatenate([rng.integers(1, 6, size=300), sample_power_law(2.2, 6, 700, rng)])
+        scan = fit_power_law(x)
+        fixed = fit_power_law(x, xmin=scan.xmin)
+        assert (fixed.alpha.hex(), fixed.ks_distance.hex()) == (
+            scan.alpha.hex(), scan.ks_distance.hex())
+
+    def test_no_optimizer_import(self):
+        src = Path(oniongraph.__file__).resolve().parent
+        for path in src.rglob("*.py"):
+            assert "minimize" not in path.read_text(encoding="utf-8"), path
+        code = ("import sys, oniongraph, oniongraph.cli; "
+                "sys.exit('scipy.optimize' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(src.parent)}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def pinned_sample(name):
+    if name == "power_law":
+        return sample_power_law(2.5, 1, 3000, np.random.default_rng(1))
+    if name == "planted_cutoff":
+        rng = np.random.default_rng(77)
+        return np.concatenate([rng.integers(1, 6, size=300), sample_power_law(2.2, 6, 700, rng)])
+    if name == "lognormal":
+        return sample_lognormal(1.0, 0.5, 1, 2000, np.random.default_rng(7))
+    return np.random.default_rng(2).geometric(0.03, size=2000)
+
+
+# each fit as scipy.optimize's own solvers give it (scipy 1.17.1): xmin, then
+# float.hex of alpha, ks_distance, lognormal_mu, lognormal_sigma, loglik_ratio
+# and the p-value of bootstrap_pvalue(n_boot=10, seed=0), then its usable
+# replicates
+PINNED = {
+    "power_law": (1, "0x1.415c2c6ff912ap+1", "0x1.064a294507480p-8", "-0x1.95f447df95c55p+2",
+                  "0x1.2cef40b933717p+1", "0x1.cb822e4a0e700p-8", "0x1.6666666666666p-1", 10),
+    "planted_cutoff": (6, "0x1.205ceadfcae6fp+1", "0x1.56f1d6428eb00p-6",
+                       "0x1.122bd04ceb291p+1", "0x1.86f8b4ccd072bp-1", "0x1.be3796f167ebep+6",
+                       "0x1.3333333333333p-2", 10),
+    "lognormal": (5, "0x1.3ff6e3058a824p+2", "0x1.5188a90a424a0p-5", "0x1.1fcd6b237101ep+0",
+                  "0x1.d4807afd8c2eap-2", "-0x1.323f410609d77p+2", "0x0.0p+0", 10),
+    "geometric": (98, "0x1.4aa2f974355f5p+2", "0x1.6b7de6977e870p-5", "0x1.cadde6ca861dcp+1",
+                  "0x1.2b8d80a4305b3p-1", "-0x1.7308e5388f1c0p-1", "0x1.ccccccccccccdp-1", 10),
+}
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_fits_keep_pinned_bits(name):
+    sample = pinned_sample(name)
+    rep = fit_report(sample)
+    pl = fit_power_law(sample)
+    boot = bootstrap_pvalue(sample, pl, n_boot=10, seed=0)
+    got = (rep.xmin, *(float(v).hex() for v in (rep.alpha, rep.ks_distance, rep.lognormal_mu,
+                                                 rep.lognormal_sigma, rep.loglik_ratio,
+                                                 boot.p_value)), boot.n_replicates)
+    assert got == PINNED[name]
