@@ -49,6 +49,7 @@ from .records import (
     PageRecord,
     PersistenceReport,
     ServiceSummary,
+    iter_pages,
     parse_pages,
     persistence_report,
     summarize_services,

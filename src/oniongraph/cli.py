@@ -65,6 +65,7 @@ from .metrics import (
     write_vertex_metrics_csv,
 )
 from .records import (
+    iter_pages_file,
     parse_pages_file,
     persistence_report,
     summarize_services,
@@ -649,7 +650,7 @@ def _load_pages(paths):
 
 
 def _cmd_ingest(args) -> int:
-    summaries = summarize_services(_load_pages(args.pages))
+    summaries = summarize_services(p for path in args.pages for p in iter_pages_file(path))
     texts = _ingest(summaries, persistence=len({snap for snap, _ in summaries}) >= 2)
     os.makedirs(args.out_dir, exist_ok=True)
     for fname, text in texts.items():

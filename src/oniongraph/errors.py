@@ -18,13 +18,17 @@ class DataError(OnionGraphError):
 
 
 class ParseError(DataError):
-    """A malformed input line; carries the 1-based line number when known."""
+    """A malformed input line; carries the 1-based line number and the
+    source (a file name) when known."""
 
-    def __init__(self, message, line_no=None):
+    def __init__(self, message, line_no=None, source=None):
         if line_no is not None:
             message = f"line {line_no}: {message}"
+        if source is not None:
+            message = f"{source}: {message}"
         super().__init__(message)
         self.line_no = line_no
+        self.source = source
 
 
 class StageError(OnionGraphError):

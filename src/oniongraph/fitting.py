@@ -24,7 +24,7 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import erfc, ndtr, ndtri, zeta
+from scipy.special import erfc, log_ndtr, ndtr, ndtri, ndtri_exp, zeta
 
 from .errors import DataError, UsageError
 
@@ -397,9 +397,15 @@ def sample_lognormal(mu: float, sigma: float, xmin: int, size: int, rng) -> np.n
     if sigma <= 0:
         raise UsageError("sigma must be positive")
     u = rng.random(size)
-    base = ndtr(_ln_z(np.array([xmin - 0.5]), mu, sigma))[0]
-    q = base + u * (1.0 - base)
-    y = np.exp(mu + sigma * ndtri(q))
+    z0 = _ln_z(np.array([xmin - 0.5]), mu, sigma)[0]
+    base = ndtr(z0)
+    if base > 0.5:
+        # above the median 1 - base loses digits, and far above it rounds to
+        # 0, so draw on the survival side: ndtr(-z) = ndtr(-z0) * (1 - u)
+        z = -ndtri_exp(log_ndtr(-z0) + np.log1p(-u))
+    else:
+        z = ndtri(base + u * (1.0 - base))
+    y = np.exp(mu + sigma * z)
     x = np.floor(y + 0.5).astype(np.int64)  # the bin (x-1/2, x+1/2] containing y
     return np.maximum(x, xmin)
 

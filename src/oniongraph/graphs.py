@@ -407,6 +407,8 @@ def read_graph_file(path) -> ServiceGraph:
     sources: list[str] = []
     targets: list[str] = []
     weights: list[int] = []
+    ids: dict[str, str] = {}  # one str per distinct id, as in records.iter_pages
+    same = ids.setdefault
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -432,8 +434,8 @@ def read_graph_file(path) -> ServiceGraph:
                 weights.append(int(parts[2]))
             except ValueError as exc:
                 raise DataError(f"{path}: bad weight at line {line_no}: {parts[2]!r}") from exc
-            sources.append(parts[0])
-            targets.append(parts[1])
+            sources.append(same(parts[0], parts[0]))
+            targets.append(same(parts[1], parts[1]))
     if directed is None:
         raise DataError(f"{path}: missing '# directed|undirected' header")
     return _from_ids(directed, sources, targets, weights, isolated)

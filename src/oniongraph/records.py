@@ -7,6 +7,13 @@ Input is a normalized JSON-lines format, one crawled page per line:
 
 Unknown fields are ignored. Duplicate entries in "links" are preserved:
 they carry the hyperlink multiplicity that later becomes edge weight.
+
+There is one parser, the generator `iter_pages` (`iter_pages_file` over a
+file); `parse_pages` and `parse_pages_file` are lists of it. Within one
+parse an id seen before is the earlier `str` object, so records cost
+memory per distinct service id rather than per link, and
+`summarize_services` folds pages as they arrive, so summaries of a stream
+of files (`oniongraph ingest`) never hold a list of records.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import DataError, ParseError
 
@@ -92,17 +99,21 @@ class PersistenceReport:
 _REQUIRED_FIELDS = ("snapshot", "service", "path", "depth", "chars", "links")
 
 
-def _field_error(name: str, why: str, line_no: int) -> ParseError:
-    return ParseError(f"field '{name}' {why}", line_no)
+def _field_error(name: str, why: str, line_no: int, source) -> ParseError:
+    return ParseError(f"field '{name}' {why}", line_no, source)
 
 
-def parse_pages(lines: Iterable[str]) -> list[PageRecord]:
-    """Parse JSON-lines page records, in input order.
+def iter_pages(lines: Iterable[str], source=None) -> Iterator[PageRecord]:
+    """Parse JSON-lines page records lazily, in input order.
 
     Blank lines are skipped. Raises ParseError (with the 1-based line
-    number) for malformed JSON, missing fields, or out-of-domain values.
+    number, and `source` when given) for malformed JSON, missing fields, or
+    out-of-domain values. Within one parse, every snapshot id, service id
+    and link target equal to one seen before is the earlier `str` object,
+    so the records cost memory per distinct id, not per link.
     """
-    records: list[PageRecord] = []
+    ids: dict[str, str] = {}  # lives as long as this parse; sys.intern would be immortal
+    same = ids.setdefault
     for line_no, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
@@ -110,12 +121,12 @@ def parse_pages(lines: Iterable[str]) -> list[PageRecord]:
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON ({exc.msg})", line_no) from exc
+            raise ParseError(f"invalid JSON ({exc.msg})", line_no, source) from exc
         if not isinstance(obj, dict):
-            raise ParseError("record is not a JSON object", line_no)
+            raise ParseError("record is not a JSON object", line_no, source)
         for name in _REQUIRED_FIELDS:
             if name not in obj:
-                raise _field_error(name, "is missing", line_no)
+                raise _field_error(name, "is missing", line_no, source)
         snapshot = obj["snapshot"]
         service = obj["service"]
         path = obj["path"]
@@ -123,57 +134,71 @@ def parse_pages(lines: Iterable[str]) -> list[PageRecord]:
         chars = obj["chars"]
         links = obj["links"]
         if not isinstance(snapshot, str) or not snapshot:
-            raise _field_error("snapshot", "must be a non-empty string", line_no)
+            raise _field_error("snapshot", "must be a non-empty string", line_no, source)
         if not isinstance(service, str) or not service:
-            raise _field_error("service", "must be a non-empty string", line_no)
+            raise _field_error("service", "must be a non-empty string", line_no, source)
         if not isinstance(path, str):
-            raise _field_error("path", "must be a string", line_no)
+            raise _field_error("path", "must be a string", line_no, source)
         if isinstance(depth, bool) or not isinstance(depth, int) or depth < 0:
-            raise _field_error("depth", "must be a non-negative integer", line_no)
+            raise _field_error("depth", "must be a non-negative integer", line_no, source)
         if isinstance(chars, bool) or not isinstance(chars, int) or chars < 0:
-            raise _field_error("chars", "must be a non-negative integer", line_no)
+            raise _field_error("chars", "must be a non-negative integer", line_no, source)
         if not isinstance(links, list) or any(not isinstance(t, str) for t in links):
-            raise _field_error("links", "must be an array of strings", line_no)
-        records.append(
-            PageRecord(
-                snapshot_id=snapshot,
-                service_id=service,
-                page_path=path,
-                depth=depth,
-                char_count=chars,
-                out_links=tuple(links),
-            )
+            raise _field_error("links", "must be an array of strings", line_no, source)
+        yield PageRecord(
+            snapshot_id=same(snapshot, snapshot),
+            service_id=same(service, service),
+            page_path=path,
+            depth=depth,
+            char_count=chars,
+            out_links=tuple(map(same, links, links)),
         )
-    return records
+
+
+def iter_pages_file(path) -> Iterator[PageRecord]:
+    """`iter_pages` over a file; parse errors name the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        yield from iter_pages(fh, source=path)
+
+
+def parse_pages(lines: Iterable[str]) -> list[PageRecord]:
+    """`iter_pages` as a list."""
+    return list(iter_pages(lines))
 
 
 def parse_pages_file(path) -> list[PageRecord]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_pages(fh)
+    """`iter_pages_file` as a list."""
+    return list(iter_pages_file(path))
 
 
 def summarize_services(pages: Iterable[PageRecord]) -> dict[tuple[str, str], ServiceSummary]:
-    """Aggregate pages into one ServiceSummary per (snapshot, service) pair.
+    """Aggregate pages into one ServiceSummary per (snapshot, service) pair,
+    folding them as they arrive, so `pages` may be a one-shot generator.
 
     tree_height is the maximum page depth, char/link counts are sums over
     pages (duplicate links counted), and lcratio is links/chars with the
-    zero-chars case pinned to 0 so the metric stays total.
+    zero-chars case pinned to 0 so the metric stays total. Keys are in
+    first-appearance order.
     """
-    groups: dict[tuple[str, str], list[PageRecord]] = {}
+    folds: dict[tuple[str, str], list] = {}  # key -> [chars, links, (path, depth) pairs]
     for page in pages:
-        groups.setdefault((page.snapshot_id, page.service_id), []).append(page)
+        key = (page.snapshot_id, page.service_id)
+        fold = folds.get(key)
+        if fold is None:
+            fold = folds[key] = [0, 0, []]
+        fold[0] += page.char_count
+        fold[1] += len(page.out_links)
+        fold[2].append((page.page_path, page.depth))
     summaries: dict[tuple[str, str], ServiceSummary] = {}
-    for (snapshot_id, service_id), members in groups.items():
-        chars = sum(p.char_count for p in members)
-        links = sum(len(p.out_links) for p in members)
+    for (snapshot_id, service_id), (chars, links, pairs) in folds.items():
         summaries[(snapshot_id, service_id)] = ServiceSummary(
             service_id=service_id,
             snapshot_id=snapshot_id,
-            tree_height=max(p.depth for p in members),
+            tree_height=max(depth for _, depth in pairs),
             char_count=chars,
             link_count=links,
             lcratio=(links / chars) if chars > 0 else 0.0,
-            tree_profile=tuple(sorted((p.page_path, p.depth) for p in members)),
+            tree_profile=tuple(sorted(pairs)),
         )
     return summaries
 

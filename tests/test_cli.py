@@ -265,6 +265,30 @@ class TestExitCodes:
         monkeypatch.setenv("ONIONGRAPH_WEIGHTED_RANK", word)
         assert cli._env_defaults() == {"weighted_rank": expected}
 
+    def test_bad_line_in_last_ingest_file_is_2_and_writes_nothing(self, corpus_dir, tmp_path,
+                                                                 capsys):
+        root, paths, corpus = corpus_dir
+        files = [str(paths[s]) for s in corpus.spec.snapshots]
+        last = tmp_path / "last.jsonl"
+        lines = open(files[-1]).read().splitlines()
+        last.write_text("\n".join([lines[0], "{not json", *lines[1:]]) + "\n")
+        out = tmp_path / "ingest"
+        assert main(["ingest", *files[:-1], str(last), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {last}: line 2: invalid JSON (")
+        assert not (out / "summaries.csv").exists()
+        assert not (out / "persistence.json").exists()
+
+    def test_bad_line_in_run_names_the_snapshot_file(self, corpus_dir, tmp_path, capsys):
+        root, paths, corpus = corpus_dir
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(open(paths["SNP3"]).read() + '{"snapshot": "SNP3"}\n')
+        cfg = make_config(paths, corpus, tmp_path / "out")
+        cfg["snapshots"]["SNP3"] = str(bad)
+        n_lines = len(bad.read_text().splitlines())
+        assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
+        assert (f"stage 'ingest' failed: {bad}: line {n_lines}: field 'service' is missing"
+                in capsys.readouterr().err)
+
     def test_every_config_key_has_a_type_check(self):
         assert set(cli._CONFIG_TYPES) == {f.name for f in fields(RunConfig)}
 

@@ -20,3 +20,10 @@ def test_parse_error_survives_pickling():
     assert type(exc) is ParseError
     assert exc.line_no == 7
     assert str(exc) == "line 7: depth must be >= 0"
+
+
+def test_parse_error_with_source_survives_pickling():
+    exc = round_trip(ParseError("invalid JSON (Expecting value)", line_no=2, source="b.jsonl"))
+    assert type(exc) is ParseError
+    assert (exc.line_no, exc.source) == (2, "b.jsonl")
+    assert str(exc) == "b.jsonl: line 2: invalid JSON (Expecting value)"

@@ -2,11 +2,12 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import zeta
+from scipy.special import log_ndtr, ndtr, ndtri, zeta
 
 import oniongraph
 from oniongraph.errors import DataError, UsageError
@@ -209,6 +210,29 @@ class TestSamplers:
         assert x.min() >= 3
         p3 = np.exp(lognormal_logpmf(np.array([3.0]), 0.0, 1.0, 3))[0]
         assert (x == 3).mean() == pytest.approx(p3, abs=0.01)
+
+    def test_lognormal_sampler_far_above_the_bulk(self):
+        # the cutoff is 15.7 sigma above the median: ndtr of it rounds to 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = sample_lognormal(-1.0, 0.2, 9, 200_000, np.random.default_rng(0))
+            far = sample_lognormal(0.0, 1.0, 10**6, 1000, np.random.default_rng(0))
+        assert x.min() >= 9
+        # the share above 9 against the survival ratio S(z(9.5)) / S(z(8.5))
+        z = (np.log([8.5, 9.5]) + 1.0) / 0.2
+        p_above = np.exp(log_ndtr(-z[1]) - log_ndtr(-z[0]))
+        assert (x > 9).sum() == pytest.approx(p_above * x.size, rel=0.5)
+        assert far.min() >= 10**6 and np.median(far) < 1.2e6
+        assert len(set(far.tolist())) > 900
+
+    def test_lognormal_survival_side_matches_the_direct_expression(self):
+        # ndtr(z0) = 0.69 takes the survival side, where both are accurate
+        mu, sigma, xmin = 1.0, 0.5, 4
+        base = ndtr((np.log(xmin - 0.5) - mu) / sigma)
+        u = np.random.default_rng(5).random(1000)
+        direct = np.floor(np.exp(mu + sigma * ndtri(base + u * (1.0 - base))) + 0.5)
+        x = sample_lognormal(mu, sigma, xmin, 1000, np.random.default_rng(5))
+        assert x.tolist() == np.maximum(direct, xmin).astype(np.int64).tolist()
 
     def test_rejects_bad_parameters(self):
         rng = np.random.default_rng(0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oniongraph import graphs
 from oniongraph.errors import DataError, UsageError
 from oniongraph.graphs import (
     ServiceGraph,
@@ -312,6 +313,28 @@ def test_graph_file_round_trip(tmp_path):
     u = ug([("a.onion", "b.onion", 2)], isolated=["solo.onion"])
     write_graph_file(u, tmp_path / "u.tsv")
     assert read_graph_file(tmp_path / "u.tsv") == u
+
+
+def test_graph_file_reader_shares_equal_ids(tmp_path, monkeypatch):
+    path = tmp_path / "g.tsv"
+    path.write_text("# directed\n# vertex a.onion\na.onion\tb.onion\t1\n"
+                    "b.onion\ta.onion\t2\nc.onion\tb.onion\t1\n")
+    read = {}
+    real = graphs._from_ids
+
+    def spy(directed, sources, targets, weights, isolated=()):
+        read.update(sources=sources, targets=targets)
+        return real(directed, sources, targets, weights, isolated)
+
+    expected = dg([("a.onion", "b.onion", 1), ("b.onion", "a.onion", 2),
+                   ("c.onion", "b.onion", 1)])
+    monkeypatch.setattr(graphs, "_from_ids", spy)
+    g = read_graph_file(path)
+    assert g == expected
+    sources, targets = read["sources"], read["targets"]
+    assert sources[0] is targets[1]  # a.onion
+    assert targets[0] is sources[1] is targets[2]  # b.onion
+    assert {id(v) for v in g.vertices} == {id(v) for v in sources + targets}
 
 
 def test_graph_file_missing_header(tmp_path):

@@ -1,15 +1,20 @@
 import json
+import tracemalloc
 
 import pytest
 
 from oniongraph.errors import DataError, ParseError
 from oniongraph.records import (
     PageRecord,
+    iter_pages,
+    iter_pages_file,
     parse_pages,
+    parse_pages_file,
     persistence_report,
     summarize_services,
     write_summary_csv,
 )
+from oniongraph.synth import CorpusSpec, generate_corpus
 
 
 def make_line(**overrides):
@@ -69,6 +74,50 @@ class TestParsePages:
             parse_pages([make_line(depth=True)])
 
 
+class TestSharedIds:
+    def test_equal_ids_are_one_object_within_a_parse(self):
+        lines = [
+            make_line(service="a.onion", links=["b.onion", "c.onion", "b.onion"]),
+            make_line(service="b.onion", links=["a.onion", "c.onion"]),
+            make_line(service="a.onion", path="/x", links=["c.onion"]),
+        ]
+        a1, b, a2 = parse_pages(lines)
+        assert a1.service_id is a2.service_id is b.out_links[0]
+        assert a1.out_links[0] is a1.out_links[2] is b.service_id
+        assert a1.out_links[1] is b.out_links[1] is a2.out_links[0]
+        assert a1.snapshot_id is b.snapshot_id is a2.snapshot_id
+
+    def test_one_object_per_distinct_link_target(self, tmp_path):
+        paths = generate_corpus(CorpusSpec()).write(tmp_path)
+        records = parse_pages_file(paths["SNP1"])
+        targets = [t for r in records for t in r.out_links]
+        assert len(targets) > 5 * len(set(targets))
+        assert len({id(t) for t in targets}) == len(set(targets))
+
+    def test_generator_is_lazy(self):
+        pages = iter_pages([make_line(), "{not json"])
+        assert next(pages).service_id == "abc.onion"
+        with pytest.raises(ParseError, match="line 2"):
+            next(pages)
+
+
+class TestParseErrorsNameTheFile:
+    def test_file_and_line_in_message(self, tmp_path):
+        path = tmp_path / "b.jsonl"
+        path.write_text(make_line() + "\n" + make_line(depth=-1) + "\n")
+        for parse in (parse_pages_file, lambda p: list(iter_pages_file(p))):
+            with pytest.raises(ParseError) as info:
+                parse(path)
+            assert str(info.value) == (
+                f"{path}: line 2: field 'depth' must be a non-negative integer")
+            assert info.value.line_no == 2
+
+    def test_lines_alone_carry_no_source(self):
+        with pytest.raises(ParseError) as info:
+            parse_pages([make_line(), "{not json"])
+        assert str(info.value).startswith("line 2: invalid JSON (")
+
+
 class TestSummarize:
     def test_aggregation_forced_by_definitions(self):
         pages = [
@@ -96,6 +145,56 @@ class TestSummarize:
     def test_link_count_counts_duplicate_occurrences(self):
         pages = [page(links=["b.onion", "b.onion"])]
         assert summarize_services(pages)[("S1", "a.onion")].link_count == 2
+
+
+class TestSummarizeStream:
+    """A one-shot generator of pages summarizes exactly like a list of them."""
+
+    @staticmethod
+    def assert_same_as_list(pages):
+        expected = summarize_services(list(pages))
+        got = summarize_services(p for p in pages)
+        assert got == expected
+        assert list(got) == list(expected)  # first-appearance order
+
+    def test_default_corpus(self):
+        corpus = generate_corpus(CorpusSpec())
+        self.assert_same_as_list([p for snap in corpus.spec.snapshots
+                                  for p in corpus.pages[snap]])
+
+    @pytest.mark.parametrize("pages", [
+        [page(chars=0, links=[]), page(path="/x", depth=1, chars=0, links=[])],
+        [page(path="/", depth=0), page(path="/", depth=0, links=["b.onion"]),
+         page(path="/", depth=3)],
+        [page(snapshot="S1", service="a.onion"), page(snapshot="S2", service="b.onion"),
+         page(snapshot="S1", service="b.onion", depth=2, chars=7, links=["a.onion"] * 3)],
+    ], ids=["zero-chars", "repeated-paths", "one-snapshot-only"])
+    def test_hand_made(self, pages):
+        self.assert_same_as_list(pages)
+
+    def test_repeated_paths_stay_in_the_profile(self):
+        pages = [page(path="/", depth=1), page(path="/", depth=0), page(path="/", depth=1)]
+        s = summarize_services(iter(pages))[("S1", "a.onion")]
+        assert s.tree_profile == (("/", 0), ("/", 1), ("/", 1))
+        assert s.tree_height == 1
+
+    def test_streaming_peak_stays_below_the_list_path(self, tmp_path):
+        corpus = generate_corpus(CorpusSpec())
+        files = list(corpus.write(tmp_path)[snap] for snap in corpus.spec.snapshots)
+
+        def traced_peak(summarize):
+            tracemalloc.start()
+            try:
+                summarize()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        listed = traced_peak(
+            lambda: summarize_services([p for f in files for p in parse_pages_file(f)]))
+        streamed = traced_peak(
+            lambda: summarize_services(p for f in files for p in iter_pages_file(f)))
+        assert streamed <= 0.75 * listed
 
 
 def corpus_summaries(spec):
