@@ -14,8 +14,9 @@ Runs with identical config and seeds are byte-identical, however many CPUs
 `run` spreads its per-graph analyses over (one forked worker per usable CPU).
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
-Config defaults can also come from ONIONGRAPH_* environment variables
-(e.g. ONIONGRAPH_SEED_LOUVAIN); explicit flags win over the environment.
+`run` merges its settings first, each source replacing the keys it gives:
+built-ins, ONIONGRAPH_* variables (e.g. ONIONGRAPH_SEED_LOUVAIN), the config
+file, `--set key=value`, the flags. The merged config is checked once.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .community import (
     read_partition_csv,
     write_partition_csv,
 )
-from .errors import DataError, OnionGraphError, StageError, UsageError
+from .errors import DataError, OnionGraphError, ParseError, StageError, UsageError
 from .fitting import DEFAULT_MIN_TAIL, PowerLawFit, bootstrap_pvalue, fit_report
 from .graphs import (
     ServiceGraph,
@@ -129,28 +130,33 @@ def sha256_file(path) -> str:
 # -- run configuration -----------------------------------------------------------
 
 
-def _is_strs(v) -> bool:
-    return isinstance(v, list) and all(isinstance(s, str) for s in v)
+def _strs_from(*allowed: str):
+    """The row of a config key that takes a list of strings from `allowed`."""
+    return (lambda v: isinstance(v, list) and all(s in allowed for s in v),
+            f"a list of strings from {list(allowed)}",
+            lambda text: [v for v in text.split(",") if v])
 
 
+COMPONENT_POLICIES = ("giant-wcc", "whole")
 _BOOL_WORDS = {**dict.fromkeys(("1", "true", "on", "yes"), True),
                **dict.fromkeys(("0", "false", "off", "no"), False)}
-_STR = (lambda v: isinstance(v, str), "a string", str)
-_INT = (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer", int)
-_STRS = (_is_strs, "a list of strings", lambda text: [v for v in text.split(",") if v])
+_INT = (lambda v: type(v) is int, "an integer", int)  # not a bool
 # config key -> (accepts the value, what it must be, reads it from --set or
-# ONIONGRAPH_* text)
+# ONIONGRAPH_* text): the key's whole contract, its type and its allowed values
 _CONFIG_TYPES = {
-    "snapshots": (lambda v: isinstance(v, dict) and _is_strs([*v, *v.values()]),
-                  "an object mapping strings to strings", str),
-    "out_dir": _STR,
+    "snapshots": (lambda v: isinstance(v, dict) and v != {}
+                  and all(isinstance(s, str) for s in [*v, *v.values()]),
+                  "a non-empty object mapping strings to strings", str),
+    "out_dir": (lambda v: isinstance(v, str), "a string", str),
     "labels": (lambda v: v is None or isinstance(v, str), "a string or null", str),
-    "graph_sets": _STRS,
-    "directedness": _STRS,
-    "component_policy": _STR,
+    "graph_sets": _strs_from("snapshots", "intersection", "union"),
+    "directedness": _strs_from("directed", "undirected"),
+    "component_policy": (lambda v: v in COMPONENT_POLICIES,
+                         f"one of {list(COMPONENT_POLICIES)}", str),
     "weighted_rank": (lambda v: isinstance(v, bool), "true or false",
                       lambda text: _BOOL_WORDS.get(text.lower(), text)),
-    **dict.fromkeys(("seed_louvain", "seed_fit", "k_hubs", "fit_min_tail", "fit_bootstrap"), _INT),
+    "k_hubs": (lambda v: type(v) is int and v >= 1, "an integer >= 1", int),
+    **dict.fromkeys(("seed_louvain", "seed_fit", "fit_min_tail", "fit_bootstrap"), _INT),
 }
 
 
@@ -188,60 +194,24 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
+        """The config of `raw`, whose values `validate` checks."""
+        unknown = set(raw) - set(_CONFIG_TYPES)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         missing = {"snapshots", "out_dir"} - set(raw)
         if missing:
             raise UsageError(f"config is missing {sorted(missing)}")
-        return cls(**{key: _checked(key, value) for key, value in raw.items()})
-
-    @classmethod
-    def from_file(cls, path, defaults=None) -> "RunConfig":
-        """Load a JSON config; `defaults` fill only the keys the file leaves out."""
-        try:
-            raw = _read(json.load, path)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid JSON config ({exc.msg})") from exc
-        if not isinstance(raw, dict):
-            raise DataError(f"{path}: config must be a JSON object")
-        return cls.from_dict({**(defaults or {}), **raw})
-
-    def apply_override(self, assignment: str) -> None:
-        """Apply a --set key=value override (dotted keys reach into maps)."""
-        if "=" not in assignment:
-            raise UsageError(f"--set expects key=value, got {assignment!r}")
-        key, value = assignment.split("=", 1)
-        parts = key.split(".")
-        if parts[0] not in {f.name for f in fields(self)}:
-            raise UsageError(f"unknown config key {parts[0]!r}")
-        current = getattr(self, parts[0])
-        if len(parts) == 1:
-            setattr(self, key, _from_text(key, value, "--set"))
-        elif len(parts) == 2 and isinstance(current, dict):
-            current[parts[1]] = value
-        else:
-            raise UsageError(f"cannot apply override to {key!r}")
+        return cls(**raw)
 
     def validate(self) -> None:
-        if len(self.snapshots) == 0:
-            raise UsageError("config needs at least one snapshot")
+        """Check every value against its config key, then the files it names."""
+        for key, value in self.to_dict().items():
+            _checked(key, value)
         for snap, path in self.snapshots.items():
             if not os.path.exists(path):
                 raise DataError(f"snapshot {snap!r}: missing page file {path}")
         if self.labels is not None and not os.path.exists(self.labels):
             raise DataError(f"missing label file {self.labels}")
-        bad = set(self.graph_sets) - {"snapshots", "intersection", "union"}
-        if bad:
-            raise UsageError(f"unknown graph sets: {sorted(bad)}")
-        bad = set(self.directedness) - {"directed", "undirected"}
-        if bad:
-            raise UsageError(f"unknown directedness values: {sorted(bad)}")
-        if self.component_policy not in ("giant-wcc", "whole"):
-            raise UsageError(f"unknown component policy {self.component_policy!r}")
-        if self.k_hubs < 1:
-            raise UsageError("k_hubs must be >= 1")
         _check_out_dir(os.path.abspath(self.out_dir))
 
     def to_dict(self) -> dict:
@@ -274,16 +244,6 @@ def _check_out_dir(out_dir: str) -> None:
             rel = os.path.relpath(os.path.join(root, entry), out_dir)
             if rel not in listed:
                 raise UsageError(f"{refusal} ({rel} is not in its manifest.json)")
-
-
-def _env_defaults() -> dict:
-    """ONIONGRAPH_* variables as config defaults (lowest precedence)."""
-    out = {}
-    for key in ("seed_louvain", "seed_fit", "k_hubs", "weighted_rank", "fit_min_tail"):
-        name = ENV_PREFIX + key.upper()
-        if name in os.environ:
-            out[key] = _from_text(key, os.environ[name], name)
-    return out
 
 
 # -- stages shared by `run` and the subcommands -------------------------------------
@@ -685,9 +645,25 @@ def _cmd_build(args) -> int:
     return 0
 
 
+def _csv_numbers(path, column: str, key: str) -> list[tuple[str, float]] | None:
+    """(`key` cell, `column` cell as a float) of each row of CSV file `path`
+    whose `column` cell is not empty, or None if the file lacks either column.
+    A cell that is not a number is a ParseError naming the file and the line."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if not {column, key} <= set(reader.fieldnames or ()):
+            return None
+        try:
+            return [(row[key], float(row[column])) for row in reader if row[column] != ""]
+        except (TypeError, ValueError):  # TypeError: None, a short row's missing cell
+            raise ParseError(f"{column} is not a number", reader.line_num, path) from None
+
+
 def _lcratio_from_summaries_csv(path) -> dict[str, float]:
-    rows = _read(lambda fh: list(csv.DictReader(fh)), path)
-    return _mean_lcratio((row["service"], float(row["lcratio"])) for row in rows)
+    pairs = _csv_numbers(path, "lcratio", "service")
+    if pairs is None:
+        raise DataError(f"{path}: summaries CSV needs the columns 'service' and 'lcratio'")
+    return _mean_lcratio(pairs)
 
 
 def _cmd_metrics(args) -> int:
@@ -708,10 +684,10 @@ def _cmd_fit(args) -> int:
         g = read_graph_file(args.graph)
         degrees = {"in": g.in_degrees, "out": g.out_degrees, "total": g.degrees}[args.degree]()
     elif args.degrees_csv:
-        rows = _read(lambda fh: list(csv.DictReader(fh)), args.degrees_csv)
-        if not rows or args.column not in rows[0]:
+        pairs = _csv_numbers(args.degrees_csv, args.column, args.column)
+        if pairs is None:
             raise UsageError(f"column {args.column!r} not found in {args.degrees_csv}")
-        degrees = np.array([float(r[args.column]) for r in rows if r[args.column] != ""])
+        degrees = np.array([degree for _, degree in pairs])
     else:
         raise UsageError("either --graph or --degrees-csv is required")
     atomic_write_text(args.out, _fit(degrees, args.min_tail, args.bootstrap, args.seed_fit))
@@ -752,15 +728,36 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    # precedence: flags > --set > config file > environment > built-ins
-    config = RunConfig.from_file(args.config, defaults=_env_defaults())
+    """Run the pipeline on one config merged from the built-ins, then the
+    ONIONGRAPH_* variables, the config file, --set and the flags, each source
+    replacing the keys it gives; `run_pipeline` checks the merged values once."""
+    raw = {}
+    for key in ("seed_louvain", "seed_fit", "k_hubs", "weighted_rank", "fit_min_tail"):
+        name = ENV_PREFIX + key.upper()
+        if name in os.environ:
+            raw[key] = _from_text(key, os.environ[name], name)
+    try:
+        from_file = _read(json.load, args.config)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{args.config}: invalid JSON config ({exc.msg})") from exc
+    if not isinstance(from_file, dict):
+        raise DataError(f"{args.config}: config must be a JSON object")
+    raw.update(from_file)
     for assignment in args.set or []:
-        config.apply_override(assignment)
-    for key in ("out_dir", "seed_louvain", "seed_fit", "k_hubs"):
+        key, is_assignment, text = assignment.partition("=")
+        if not is_assignment:
+            raise UsageError(f"--set expects key=value, got {assignment!r}")
+        name, dotted, entry = key.partition(".")
+        if dotted and name == "snapshots" and isinstance(raw.get(name, {}), dict):
+            raw[name] = {**raw.get(name, {}), entry: text}
+        elif dotted or key not in _CONFIG_TYPES:
+            raise UsageError(f"--set: unknown config key {key!r}")
+        else:
+            raw[key] = _from_text(key, text, "--set")
+    for key in ("out_dir", "seed_louvain", "seed_fit", "k_hubs", "weighted_rank"):
         if getattr(args, key) is not None:
-            setattr(config, key, getattr(args, key))
-    if args.weighted_rank is not None:
-        config.weighted_rank = args.weighted_rank == "on"
+            raw[key] = _from_text(key, getattr(args, key), "--" + key.replace("_", "-"))
+    config = RunConfig.from_dict(raw)
     manifest = run_pipeline(config)
     print(f"pipeline complete: {len(manifest['artifacts'])} artifacts in {config.out_dir}")
     return 0
@@ -794,13 +791,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("metrics", help="global and per-vertex metrics of a graph")
     p.add_argument("--graph", required=True)
-    p.add_argument("--component", choices=["giant-wcc", "whole"], default="giant-wcc")
+    p.add_argument("--component", choices=COMPONENT_POLICIES, default=RunConfig.component_policy)
     p.add_argument("--summaries", help="summaries CSV for lcratio attachment")
     p.add_argument("--global-json", required=True)
     p.add_argument("--vertex-csv", required=True)
     p.add_argument("--hub-curve-json")
-    p.add_argument("--k-hubs", type=int, default=25)
-    p.add_argument("--weighted-rank", choices=["on", "off"], default="on")
+    p.add_argument("--k-hubs", type=int, default=RunConfig.k_hubs)
+    p.add_argument("--weighted-rank", choices=["on", "off"],
+                   default="on" if RunConfig.weighted_rank else "off")
     p.set_defaults(func=_cmd_metrics)
 
     p = sub.add_parser("fit", help="power-law vs log-normal degree fit")
@@ -809,9 +807,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degrees-csv", help="CSV with a degree column instead of a graph")
     p.add_argument("--column", default="degree")
     p.add_argument("--min-tail", type=int, default=DEFAULT_MIN_TAIL)
-    p.add_argument("--bootstrap", type=int, default=0,
+    p.add_argument("--bootstrap", type=int, default=RunConfig.fit_bootstrap,
                    help="goodness-of-fit replicates (expensive; 0 disables)")
-    p.add_argument("--seed-fit", type=int, default=0)
+    p.add_argument("--seed-fit", type=int, default=RunConfig.seed_fit)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_fit)
 
@@ -859,9 +857,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override a config entry (repeatable)")
     p.add_argument("--out-dir")
-    p.add_argument("--seed-louvain", type=int)
-    p.add_argument("--seed-fit", type=int)
-    p.add_argument("--k-hubs", type=int)
+    p.add_argument("--seed-louvain")  # read as text, like --set
+    p.add_argument("--seed-fit")
+    p.add_argument("--k-hubs")
     p.add_argument("--weighted-rank", choices=["on", "off"])
     p.set_defaults(func=_cmd_run)
 

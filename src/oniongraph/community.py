@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DataError
+from .errors import DataError, ParseError
 from .graphs import ServiceGraph
 
 _GAIN_EPS = 1e-12
@@ -87,17 +87,20 @@ def write_partition_csv(p: Partition, fh) -> None:
 
 
 def read_partition_csv(fh) -> Partition:
+    """Inverse of write_partition_csv; errors name the line and `fh.name`."""
+    source = getattr(fh, "name", None)
     reader = csv.reader(fh)
-    header = next(reader, None)
-    if header != ["vertex", "cluster"]:
-        raise DataError("partition CSV must start with 'vertex,cluster'")
+    if next(reader, None) != ["vertex", "cluster"]:
+        raise ParseError("partition CSV must start with 'vertex,cluster'", 1, source)
     labels = {}
     for row in reader:
         if not row:
             continue
-        if len(row) != 2:
-            raise DataError(f"bad partition row: {row!r}")
-        labels[row[0]] = int(row[1])
+        try:
+            vertex, cluster = row
+            labels[vertex] = int(cluster)
+        except ValueError:
+            raise ParseError(f"bad partition row {row!r}", reader.line_num, source) from None
     return Partition.from_labels(labels)
 
 

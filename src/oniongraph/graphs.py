@@ -242,24 +242,20 @@ def build_dsg(pages: Sequence[PageRecord], snapshot_id: str | None = None) -> Se
     targets are dropped.
     """
     seen_snapshots = {p.snapshot_id for p in pages}
-    if snapshot_id is None:
-        if len(seen_snapshots) > 1:
-            raise DataError(f"records span {len(seen_snapshots)} snapshots; pass snapshot_id")
-        snapshot_pages = list(pages)
-    else:
-        if seen_snapshots - {snapshot_id}:
-            raise DataError(
-                f"records for snapshot(s) {sorted(seen_snapshots - {snapshot_id})} "
-                f"found while building {snapshot_id!r}"
-            )
-        snapshot_pages = [p for p in pages if p.snapshot_id == snapshot_id]
+    if snapshot_id is None and len(seen_snapshots) > 1:
+        raise DataError(f"records span {len(seen_snapshots)} snapshots; pass snapshot_id")
+    if snapshot_id is not None and seen_snapshots - {snapshot_id}:
+        raise DataError(
+            f"records for snapshot(s) {sorted(seen_snapshots - {snapshot_id})} "
+            f"found while building {snapshot_id!r}"
+        )
 
-    crawled = {p.service_id for p in snapshot_pages}
-    linked = {t for p in snapshot_pages for t in p.out_links}
+    crawled = {p.service_id for p in pages}
+    linked = {t for p in pages for t in p.out_links}
     onion = {t for t in linked if is_onion_id(t)}
     sources: list[str] = []
     targets: list[str] = []
-    for page in snapshot_pages:
+    for page in pages:
         kept = [t for t in page.out_links if t in onion and t != page.service_id]
         sources.extend([page.service_id] * len(kept))
         targets.extend(kept)

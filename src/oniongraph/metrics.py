@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy.sparse import csgraph, csr_array
 
-from .errors import DataError, UsageError
+from .errors import DataError, ParseError, UsageError
 from .graphs import ServiceGraph
 
 PAGERANK_DAMPING = 0.85
@@ -471,20 +471,25 @@ def write_vertex_metrics_csv(vm: VertexMetrics, fh) -> None:
 def read_vertex_metrics_csv(fh) -> VertexMetrics:
     """Inverse of write_vertex_metrics_csv (count columns as ints, empty
     cells as NaN, no global metrics). Directedness is inferred from in/out
-    degree equality."""
+    degree equality. Errors name the line and `fh.name`."""
+    source = getattr(fh, "name", None)
     reader = csv.reader(fh)
-    if next(reader) != VERTEX_CSV_COLUMNS:
-        raise DataError("unexpected vertex metrics CSV header")
-    rows = list(reader)
-    cells = {name: [r[j] for r in rows] for j, name in enumerate(VERTEX_CSV_COLUMNS)}
+    if next(reader, None) != VERTEX_CSV_COLUMNS:
+        raise ParseError("unexpected vertex metrics CSV header", 1, source)
+    kinds = [str] + [int if name in _COUNT_COLUMNS else float for name in VERTEX_CSV_COLUMNS[1:]]
+    rows = []
+    for row in reader:
+        try:
+            rows.append([np.nan if kind is float and cell == "" else kind(cell)
+                         for kind, cell in zip(kinds, row, strict=True)])
+        except ValueError:
+            raise ParseError(f"bad vertex metrics row {row!r}", reader.line_num, source) from None
     columns = {
-        name: np.array([int(v) for v in cells[name]], dtype=np.int64)
-        if name in _COUNT_COLUMNS
-        else np.array([float(v) if v != "" else np.nan for v in cells[name]])
-        for name in VERTEX_CSV_COLUMNS[1:]
+        name: np.array([r[j] for r in rows], dtype=np.int64 if kinds[j] is int else np.float64)
+        for j, name in enumerate(VERTEX_CSV_COLUMNS) if j > 0
     }
     return VertexMetrics(
         directed=not np.array_equal(columns["in_degree"], columns["out_degree"]),
-        vertices=tuple(cells["vertex"]),
+        vertices=tuple(r[0] for r in rows),
         **columns,
     )

@@ -263,7 +263,6 @@ class GainTable:
     metrics: tuple[str, ...]
     labels: tuple[str, ...]  # classes then macro types
     values: np.ndarray  # gain in bits, NaN where undefined
-    results: tuple[GainResult, ...]
 
     def write_csv(self, fh) -> None:
         _write_matrix_csv(fh, self.metrics, self.labels, self.values)
@@ -298,7 +297,6 @@ def gain_report(vm: VertexMetrics, labels: LabelSet) -> GainTable:
     cols = vm.metric_columns()
     metric_names = tuple(cols)
     values = np.full((len(metric_names), len(label_names)), np.nan)
-    results: list[GainResult] = []
     for i, m in enumerate(metric_names):
         col = np.asarray(cols[m], dtype=np.float64)[labeled_idx]
         defined = np.isfinite(col)
@@ -310,10 +308,7 @@ def gain_report(vm: VertexMetrics, labels: LabelSet) -> GainTable:
         for j, name in enumerate(label_names):
             members = member_masks[name][defined]
             try:
-                res = info_gain(sub, members, metric=m, label=name)
+                values[i, j] = info_gain(sub, members, metric=m, label=name).gain_bits
             except DataError:
                 continue
-            values[i, j] = res.gain_bits
-            results.append(res)
-    return GainTable(metrics=metric_names, labels=label_names, values=values,
-                     results=tuple(results))
+    return GainTable(metrics=metric_names, labels=label_names, values=values)

@@ -10,7 +10,7 @@ import pytest
 
 from oniongraph import cli, fitting, metrics
 from oniongraph.cli import RunConfig, dump_json, main, run_pipeline, sha256_file
-from oniongraph.errors import DataError, StageError
+from oniongraph.errors import DataError, StageError, UsageError
 from oniongraph.graphs import read_graph_file
 from oniongraph.synth import CorpusSpec, generate_corpus
 
@@ -23,6 +23,11 @@ def corpus_dir(tmp_path_factory):
     corpus = generate_corpus(spec)
     paths = corpus.write(root)
     return root, paths, corpus
+
+
+VERTEX_HEADER = ",".join(metrics.VERTEX_CSV_COLUMNS)
+METRICS_ARGV = ["metrics", "--graph", "{graph}", "--summaries", "{bad}",
+                "--global-json", "{out}", "--vertex-csv", "{vertices}"]
 
 
 def make_config(paths, corpus, out_dir, **overrides):
@@ -49,6 +54,27 @@ def files_under(root):
         for dirpath, _, files in os.walk(root)
         for f in files
     }
+
+
+def write_tiny_pages(tmp_path):
+    """A one-snapshot page file of five services, small enough that a whole
+    `run` over it takes a fraction of a second."""
+    links = {"a": "bc", "b": "cd", "c": "da", "d": "ab", "e": "a"}
+    path = tmp_path / "s1.jsonl"
+    path.write_text("".join(
+        json.dumps({"snapshot": "S1", "service": f"{s}.onion", "path": "/", "depth": 0,
+                    "chars": 100, "links": [f"{t}.onion" for t in targets]}) + "\n"
+        for s, targets in links.items()))
+    return path
+
+
+def merged_config(monkeypatch, tmp_path, cfg, *argv):
+    """The config `oniongraph run` hands to the pipeline for `cfg` and `argv`."""
+    configs = []
+    monkeypatch.setattr(cli, "run_pipeline",
+                        lambda config: configs.append(config) or {"artifacts": []})
+    assert main(["run", "--config", str(write_config(tmp_path, cfg)), *argv]) == 0
+    return configs[0]
 
 
 class TestSubcommands:
@@ -225,6 +251,8 @@ class TestExitCodes:
         ("weighted_rank", "off"), ("weighted_rank", 1), ("graph_sets", "union"),
         ("directedness", ["directed", 1]), ("snapshots", ["S1"]), ("snapshots", {"S1": 5}),
         ("labels", 5), ("labels", ["l.tsv"]), ("out_dir", 5), ("component_policy", None),
+        ("snapshots", {}), ("graph_sets", ["union", "all"]), ("directedness", ["both"]),
+        ("component_policy", "largest"), ("k_hubs", 0),
     ])
     def test_config_value_of_wrong_type_is_1(self, tmp_path, capsys, key, value):
         pages = tmp_path / "s1.jsonl"
@@ -258,12 +286,13 @@ class TestExitCodes:
         ("1", True), ("TRUE", True), ("on", True), ("yes", True),
         ("0", False), ("false", False), ("Off", False), ("no", False),
     ])
-    def test_bool_words_from_set_and_environment(self, monkeypatch, word, expected):
-        config = RunConfig(snapshots={}, out_dir="out", weighted_rank=not expected)
-        config.apply_override(f"weighted_rank={word}")
+    def test_bool_words_from_set_and_environment(self, tmp_path, monkeypatch, word, expected):
+        cfg = {"snapshots": {"S1": "s1.jsonl"}, "out_dir": "out"}
+        config = merged_config(monkeypatch, tmp_path, {**cfg, "weighted_rank": not expected},
+                               "--set", f"weighted_rank={word}")
         assert config.weighted_rank is expected
         monkeypatch.setenv("ONIONGRAPH_WEIGHTED_RANK", word)
-        assert cli._env_defaults() == {"weighted_rank": expected}
+        assert merged_config(monkeypatch, tmp_path, cfg).weighted_rank is expected
 
     def test_bad_line_in_last_ingest_file_is_2_and_writes_nothing(self, corpus_dir, tmp_path,
                                                                  capsys):
@@ -288,6 +317,39 @@ class TestExitCodes:
         assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
         assert (f"stage 'ingest' failed: {bad}: line {n_lines}: field 'service' is missing"
                 in capsys.readouterr().err)
+
+    def test_config_built_in_python_is_checked_by_the_pipeline(self, tmp_path):
+        config = RunConfig(snapshots={"S1": str(write_tiny_pages(tmp_path))},
+                           out_dir=str(tmp_path / "out"), k_hubs="5")
+        with pytest.raises(UsageError, match="config key 'k_hubs' must be an integer >= 1"):
+            run_pipeline(config)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv,text,line", [
+        pytest.param(["compare", "--a", "{bad}", "--b", "{partition}", "--out", "{out}"],
+                     "vertex,cluster\na.onion,x\n", 2, id="partition-cluster"),
+        pytest.param(["fit", "--degrees-csv", "{bad}", "--out", "{out}"],
+                     "degree\n3\n\nabc\n", 4, id="degree-cell"),
+        pytest.param(["stats", "corr", "--vertex-csv", "{bad}", "--out", "{out}"],
+                     f"{VERTEX_HEADER}\na.onion,1,2\n", 2, id="vertex-row-length"),
+        pytest.param(["stats", "corr", "--vertex-csv", "{bad}", "--out", "{out}"],
+                     f"{VERTEX_HEADER}\na.onion,1.5,1,1{',' * 9}\n", 2, id="vertex-degree"),
+        pytest.param(METRICS_ARGV, "service,snapshot,tree_height,chars,links,lcratio\n"
+                     "a.onion,S1,0,10,1,zz\n", 2, id="summaries-lcratio"),
+        pytest.param(METRICS_ARGV, "service,snapshot,tree_height,chars,links\n"
+                     "a.onion,S1,0,10,1\n", None, id="summaries-no-lcratio"),
+    ])
+    def test_malformed_table_is_2_and_names_the_file(self, tmp_path, capsys, argv, text, line):
+        files = {"bad": tmp_path / "bad.csv", "partition": tmp_path / "part.csv",
+                 "graph": tmp_path / "g.tsv", "out": tmp_path / "out.json",
+                 "vertices": tmp_path / "v.csv"}
+        files["bad"].write_text(text)
+        files["partition"].write_text("vertex,cluster\na.onion,0\n")
+        files["graph"].write_text("# directed\na.onion\tb.onion\t1\n")
+        assert main([arg.format(**files) for arg in argv]) == 2
+        where = f"{files['bad']}: " + (f"line {line}: " if line else "")
+        assert capsys.readouterr().err.startswith(f"error: {where}")
+        assert not files["out"].exists()
 
     def test_every_config_key_has_a_type_check(self):
         assert set(cli._CONFIG_TYPES) == {f.name for f in fields(RunConfig)}
@@ -374,6 +436,36 @@ class TestRunPipeline:
         assert main(["run", "--config", str(cfg_path)]) == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["config"]["k_hubs"] == 9
+
+    @pytest.mark.parametrize("argv,k_hubs", [(["--set", "k_hubs=11", "--k-hubs", "5"], 5),
+                                             (["--set", "k_hubs=11"], 11), ([], 9)])
+    def test_later_sources_win(self, corpus_dir, tmp_path, monkeypatch, argv, k_hubs):
+        root, paths, corpus = corpus_dir
+        monkeypatch.setenv("ONIONGRAPH_K_HUBS", "7")
+        cfg = make_config(paths, corpus, tmp_path / "out", k_hubs=9, graph_sets=["union"],
+                          directedness=["directed"])
+        assert main(["run", "--config", str(write_config(tmp_path, cfg)), *argv]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["config"]["k_hubs"] == k_hubs
+
+    @pytest.mark.parametrize("case", [
+        pytest.param(lambda out, pages: ({"snapshots": {"S1": pages}}, ["--out-dir", out]),
+                     id="out_dir-from-flag"),
+        pytest.param(lambda out, pages: ({"snapshots": {"S1": pages}},
+                                         ["--set", f"out_dir={out}"]), id="out_dir-from-set"),
+        pytest.param(lambda out, pages: ({"snapshots": {"S1": pages}, "out_dir": out,
+                                          "k_hubs": "5"}, ["--k-hubs", "5"]),
+                     id="k_hubs-from-flag"),
+        pytest.param(lambda out, pages: ({"out_dir": out}, ["--set", f"snapshots.S1={pages}"]),
+                     id="snapshot-from-set"),
+    ])
+    def test_later_source_supplies_or_replaces_a_value(self, tmp_path, case):
+        out, pages = str(tmp_path / "out"), str(write_tiny_pages(tmp_path))
+        cfg, argv = case(out, pages)
+        assert main(["run", "--config", str(write_config(tmp_path, cfg)), *argv]) == 0
+        config = json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]
+        assert (config["out_dir"], config["snapshots"]) == (out, {"S1": pages})
+        assert config["k_hubs"] == (5 if "--k-hubs" in argv else 25)
 
     def test_unknown_config_key_rejected(self, tmp_path):
         with pytest.raises(Exception, match="unknown config"):

@@ -257,6 +257,13 @@ class TestVertexMetrics:
         assert np.linalg.norm(hub) == pytest.approx(1.0, abs=1e-9)
         assert np.linalg.norm(auth) == pytest.approx(1.0, abs=1e-9)
 
+    def test_hits_hub_and_authority_differ_on_an_undirected_star(self):
+        # W is symmetric, yet on a bipartite graph the power iteration leaves
+        # the two vectors apart, so an undirected graph needs both
+        hub, auth = hits(star(4, directed=False))
+        assert hub == pytest.approx([0.5] * 4, abs=1e-9)
+        assert auth == pytest.approx([math.sqrt(3) / 2] + [1 / (2 * math.sqrt(3))] * 3, abs=1e-9)
+
     @pytest.mark.parametrize("weighted", [True, False])
     @pytest.mark.parametrize("seed,directed", [(0, True), (1, True), (2, False), (3, False)])
     def test_rank_scores_match_dense_oracles(self, seed, directed, weighted):
