@@ -16,7 +16,7 @@ import numpy as np
 from scipy.sparse import csgraph
 
 from .errors import DataError
-from .graphs import ServiceGraph
+from .graphs import ServiceGraph, largest_component
 
 CLASSES = ("LSCC", "IN", "OUT", "TUBES", "TENDRILS", "DISCONNECTED")
 
@@ -59,10 +59,7 @@ def bowtie_decompose(g: ServiceGraph) -> BowTieAssignment:
     a = g.adjacency()
     reverse = a.T.tocsr()
     _, label = csgraph.connected_components(a, directed=True, connection="strong")
-    # every label 0..k-1 occurs, so `first[c]` is the smallest vertex of
-    # component c; the LSCC is the largest component, then the earliest
-    first = np.unique(label, return_index=True)[1]
-    in_lscc = label == np.lexsort((first, -np.bincount(label)))[0]
+    in_lscc = largest_component(label)
     lscc = np.flatnonzero(in_lscc)
     from_lscc = _reachable_from(a, lscc)
     to_lscc = _reachable_from(reverse, lscc)

@@ -16,7 +16,8 @@ Runs with identical config and seeds are byte-identical, however many CPUs
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 `run` merges its settings first, each source replacing the keys it gives:
 built-ins, ONIONGRAPH_* variables (e.g. ONIONGRAPH_SEED_LOUVAIN), the config
-file, `--set key=value`, the flags. The merged config is checked once.
+file, `--set key=value`, the flags. The merged config is checked once. A flag
+that sets a config key reads and checks its value as `--set` does, on parsing.
 """
 
 from __future__ import annotations
@@ -141,8 +142,9 @@ COMPONENT_POLICIES = ("giant-wcc", "whole")
 _BOOL_WORDS = {**dict.fromkeys(("1", "true", "on", "yes"), True),
                **dict.fromkeys(("0", "false", "off", "no"), False)}
 _INT = (lambda v: type(v) is int, "an integer", int)  # not a bool
-# config key -> (accepts the value, what it must be, reads it from --set or
-# ONIONGRAPH_* text): the key's whole contract, its type and its allowed values
+_NON_NEGATIVE_INT = (lambda v: type(v) is int and v >= 0, "an integer >= 0", int)
+# config key -> (accepts the value, what it must be, reads it from the text of
+# --set, a flag or ONIONGRAPH_*): the key's whole contract, its type and its allowed values
 _CONFIG_TYPES = {
     "snapshots": (lambda v: isinstance(v, dict) and v != {}
                   and all(isinstance(s, str) for s in [*v, *v.values()]),
@@ -156,7 +158,8 @@ _CONFIG_TYPES = {
     "weighted_rank": (lambda v: isinstance(v, bool), "true or false",
                       lambda text: _BOOL_WORDS.get(text.lower(), text)),
     "k_hubs": (lambda v: type(v) is int and v >= 1, "an integer >= 1", int),
-    **dict.fromkeys(("seed_louvain", "seed_fit", "fit_min_tail", "fit_bootstrap"), _INT),
+    **dict.fromkeys(("seed_louvain", "fit_min_tail"), _INT),
+    **dict.fromkeys(("seed_fit", "fit_bootstrap"), _NON_NEGATIVE_INT),
 }
 
 
@@ -169,7 +172,7 @@ def _checked(key: str, value, source: str = ""):
 
 
 def _from_text(key: str, text: str, source: str):
-    """Config key `key` given as text by `source` (--set, ONIONGRAPH_*)."""
+    """Config key `key` given as text by `source` (--set, a flag, ONIONGRAPH_*)."""
     try:
         value = _CONFIG_TYPES[key][2](text)
     except ValueError:
@@ -669,7 +672,7 @@ def _lcratio_from_summaries_csv(path) -> dict[str, float]:
 def _cmd_metrics(args) -> int:
     g = read_graph_file(args.graph)
     lcr = _lcratio_from_summaries_csv(args.summaries) if args.summaries else None
-    texts, _ = _metrics(g, args.component, lcr, args.weighted_rank == "on",
+    texts, _ = _metrics(g, args.component, lcr, args.weighted_rank,
                         args.k_hubs if args.hub_curve_json else None)
     outputs = {"global.json": args.global_json, "vertices.csv": args.vertex_csv,
                "hubreach.json": args.hub_curve_json}
@@ -754,9 +757,8 @@ def _cmd_run(args) -> int:
             raise UsageError(f"--set: unknown config key {key!r}")
         else:
             raw[key] = _from_text(key, text, "--set")
-    for key in ("out_dir", "seed_louvain", "seed_fit", "k_hubs", "weighted_rank"):
-        if getattr(args, key) is not None:
-            raw[key] = _from_text(key, getattr(args, key), "--" + key.replace("_", "-"))
+    raw.update((key, value) for key, value in vars(args).items()
+               if key in _CONFIG_TYPES and value is not None)  # the flags given, checked on parsing
     config = RunConfig.from_dict(raw)
     manifest = run_pipeline(config)
     print(f"pipeline complete: {len(manifest['artifacts'])} artifacts in {config.out_dir}")
@@ -764,6 +766,12 @@ def _cmd_run(args) -> int:
 
 
 # -- argument parsing ------------------------------------------------------------------
+
+
+def _setting(parser, flag: str, key: str, default=None) -> None:
+    """Declare `flag`, setting config key `key`: read and checked as `--set` reads it."""
+    parser.add_argument(flag, type=lambda text: _from_text(key, text, flag), default=default,
+                        help=f"{key}: {_CONFIG_TYPES[key][1]}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -791,14 +799,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("metrics", help="global and per-vertex metrics of a graph")
     p.add_argument("--graph", required=True)
-    p.add_argument("--component", choices=COMPONENT_POLICIES, default=RunConfig.component_policy)
+    _setting(p, "--component", "component_policy", RunConfig.component_policy)
     p.add_argument("--summaries", help="summaries CSV for lcratio attachment")
     p.add_argument("--global-json", required=True)
     p.add_argument("--vertex-csv", required=True)
     p.add_argument("--hub-curve-json")
-    p.add_argument("--k-hubs", type=int, default=RunConfig.k_hubs)
-    p.add_argument("--weighted-rank", choices=["on", "off"],
-                   default="on" if RunConfig.weighted_rank else "off")
+    _setting(p, "--k-hubs", "k_hubs", RunConfig.k_hubs)
+    _setting(p, "--weighted-rank", "weighted_rank", RunConfig.weighted_rank)
     p.set_defaults(func=_cmd_metrics)
 
     p = sub.add_parser("fit", help="power-law vs log-normal degree fit")
@@ -806,16 +813,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", choices=["in", "out", "total"], default="total")
     p.add_argument("--degrees-csv", help="CSV with a degree column instead of a graph")
     p.add_argument("--column", default="degree")
-    p.add_argument("--min-tail", type=int, default=DEFAULT_MIN_TAIL)
-    p.add_argument("--bootstrap", type=int, default=RunConfig.fit_bootstrap,
-                   help="goodness-of-fit replicates (expensive; 0 disables)")
-    p.add_argument("--seed-fit", type=int, default=RunConfig.seed_fit)
+    _setting(p, "--min-tail", "fit_min_tail", RunConfig.fit_min_tail)
+    _setting(p, "--bootstrap", "fit_bootstrap", RunConfig.fit_bootstrap)
+    _setting(p, "--seed-fit", "seed_fit", RunConfig.seed_fit)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("communities", help="Louvain partition of a graph")
     p.add_argument("--graph", required=True)
-    p.add_argument("--seed-louvain", type=int, default=DEFAULT_LOUVAIN_SEED)
+    _setting(p, "--seed-louvain", "seed_louvain", RunConfig.seed_louvain)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_communities)
 
@@ -856,25 +862,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override a config entry (repeatable)")
-    p.add_argument("--out-dir")
-    p.add_argument("--seed-louvain")  # read as text, like --set
-    p.add_argument("--seed-fit")
-    p.add_argument("--k-hubs")
-    p.add_argument("--weighted-rank", choices=["on", "off"])
+    for key in ("out_dir", "seed_louvain", "seed_fit", "k_hubs", "weighted_rank"):
+        _setting(p, "--" + key.replace("_", "-"), key)
     p.set_defaults(func=_cmd_run)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         # argparse exits 2 on usage problems; remap to the documented code 1
         return 0 if exc.code == 0 else 1
-    try:
-        return args.func(args)
     except (OnionGraphError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         cause = exc.cause if isinstance(exc, StageError) else exc

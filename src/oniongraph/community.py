@@ -98,6 +98,8 @@ def read_partition_csv(fh) -> Partition:
             continue
         try:
             vertex, cluster = row
+            if vertex in labels:
+                raise ParseError(f"vertex {vertex!r} listed twice", reader.line_num, source)
             labels[vertex] = int(cluster)
         except ValueError:
             raise ParseError(f"bad partition row {row!r}", reader.line_num, source) from None

@@ -335,16 +335,10 @@ def union(graphs: Sequence[ServiceGraph]) -> ServiceGraph:
     return _combine(graphs, np.maximum, 1)
 
 
-def weakly_connected_components(g: ServiceGraph) -> list[np.ndarray]:
-    """Vertex-index arrays of the weakly connected components, each sorted,
-    ordered by (size desc, smallest vertex index asc)."""
-    _, label = csgraph.connected_components(g.adjacency(), directed=True, connection="weak")
-    # a stable sort keeps each component's members in ascending index order
-    order = np.argsort(label, kind="stable")
-    bounds = np.concatenate([[0], np.cumsum(np.bincount(label))])
-    components = [order[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-    components.sort(key=lambda comp: (-comp.size, int(comp[0])))
-    return components
+def largest_component(label: np.ndarray) -> np.ndarray:
+    """Mask of the largest component of a labelling (one component label per
+    vertex); ties go to the component holding the smallest vertex index."""
+    return label == label[np.argmax(np.bincount(label)[label])]
 
 
 def giant_wcc(g: ServiceGraph) -> ServiceGraph:
@@ -355,9 +349,9 @@ def giant_wcc(g: ServiceGraph) -> ServiceGraph:
     """
     if g.N == 0:
         raise DataError("empty graph has no giant component")
-    mask = np.zeros(g.N, dtype=bool)
-    mask[weakly_connected_components(g)[0]] = True
-    return _induced(g.directed, g.vertices, mask, g.edge_src, g.edge_dst, g.edge_weight)
+    _, label = csgraph.connected_components(g.adjacency(), directed=True, connection="weak")
+    return _induced(g.directed, g.vertices, largest_component(label), g.edge_src, g.edge_dst,
+                    g.edge_weight)
 
 
 # -- file format ----------------------------------------------------------

@@ -134,8 +134,8 @@ def assortativity(g: ServiceGraph) -> float:
     else:
         deg = g.degrees().astype(np.float64)
         a, b = deg[g.edge_src], deg[g.edge_dst]
-        pairs = {(min(p, q), max(p, q)) for p, q in zip(a.tolist(), b.tolist())}
-        if len(pairs) == 1:
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        if (lo == lo[0]).all() and (hi == hi[0]).all():
             return math.nan
         x = np.concatenate([a, b])
         y = np.concatenate([b, a])

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import DataError, UsageError
+from .errors import DataError, ParseError, UsageError
 from .graphs import ServiceGraph
 from .metrics import VertexMetrics
 
@@ -70,6 +70,13 @@ class Label:
     language: str
 
 
+def _label(service: str, raw_cls: str, language: str) -> Label:
+    canonical = _CANONICAL.get(raw_cls.strip().casefold())
+    if canonical is None:
+        raise DataError(f"unknown content class {raw_cls!r} for {service!r}")
+    return Label(canonical, _CLASS_TYPE[canonical], language)
+
+
 class LabelSet:
     """service id -> thematic label; Unknown-typed services are kept in the
     mapping but excluded from every analysis."""
@@ -79,28 +86,27 @@ class LabelSet:
 
     @classmethod
     def from_rows(cls, rows: Iterable[tuple[str, str, str]]) -> "LabelSet":
-        labels = {}
-        for service, raw_cls, language in rows:
-            canonical = _CANONICAL.get(raw_cls.strip().casefold())
-            if canonical is None:
-                raise DataError(f"unknown content class {raw_cls!r} for {service!r}")
-            labels[service] = Label(canonical, _CLASS_TYPE[canonical], language)
-        return cls(labels)
+        return cls({row[0]: _label(*row) for row in rows})
 
     @classmethod
     def from_csv(cls, fh) -> "LabelSet":
+        """Labels of a service,class,language CSV; errors name the line and `fh.name`."""
+        source = getattr(fh, "name", None)
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:3]] != ["service", "class", "language"]:
-            raise DataError("label CSV must start with 'service,class,language'")
-        rows = []
+            raise ParseError("label CSV must start with 'service,class,language'", 1, source)
+        labels = {}
         for row in reader:
             if not row:
                 continue
             if len(row) < 3:
-                raise DataError(f"bad label row: {row!r}")
-            rows.append((row[0], row[1], row[2]))
-        return cls.from_rows(rows)
+                raise ParseError(f"bad label row: {row!r}", reader.line_num, source)
+            try:
+                labels[row[0]] = _label(*row[:3])
+            except DataError as exc:
+                raise ParseError(str(exc), reader.line_num, source) from None
+        return cls(labels)
 
     def usable(self) -> dict[str, Label]:
         """Labels with a known type (Unknown excluded)."""

@@ -252,7 +252,7 @@ class TestExitCodes:
         ("directedness", ["directed", 1]), ("snapshots", ["S1"]), ("snapshots", {"S1": 5}),
         ("labels", 5), ("labels", ["l.tsv"]), ("out_dir", 5), ("component_policy", None),
         ("snapshots", {}), ("graph_sets", ["union", "all"]), ("directedness", ["both"]),
-        ("component_policy", "largest"), ("k_hubs", 0),
+        ("component_policy", "largest"), ("k_hubs", 0), ("seed_fit", -1), ("fit_bootstrap", -1),
     ])
     def test_config_value_of_wrong_type_is_1(self, tmp_path, capsys, key, value):
         pages = tmp_path / "s1.jsonl"
@@ -281,6 +281,35 @@ class TestExitCodes:
         assert main(["run", "--config", str(path), *argv]) == 1
         assert "must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,flag,text", [
+        ("metrics", "--component", "largest"),
+        ("metrics", "--k-hubs", "0"),
+        ("metrics", "--k-hubs", "-4"),
+        ("metrics", "--weighted-rank", "maybe"),
+        ("fit", "--min-tail", "2.5"),
+        ("fit", "--bootstrap", "-3"),
+        ("fit", "--seed-fit", "-1"),
+        ("communities", "--seed-louvain", "x"),
+        ("run", "--seed-louvain", "1.5"),
+        ("run", "--seed-fit", "-1"),
+        ("run", "--k-hubs", "0"),
+        ("run", "--weighted-rank", "maybe"),
+    ])
+    def test_setting_flag_out_of_domain_is_1_before_any_file_is_read(
+            self, tmp_path, capsys, command, flag, text):
+        # every input named is missing: reading one would exit 2, not 1
+        missing, out = str(tmp_path / "missing"), str(tmp_path / "out")
+        argv = {
+            "metrics": ["--graph", missing, "--global-json", out, "--vertex-csv", out,
+                        "--hub-curve-json", out],
+            "fit": ["--graph", missing, "--bootstrap", "2", "--out", out],
+            "communities": ["--graph", missing, "--out", out],
+            "run": ["--config", missing, "--out-dir", out],
+        }[command]
+        assert main([command, *argv, flag, text]) == 1
+        assert f"(from {flag}) must be" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("word,expected", [
         ("1", True), ("TRUE", True), ("on", True), ("yes", True),
@@ -592,7 +621,8 @@ class TestOutputDirectory:
         cfg = make_config(paths, corpus, tmp_path / "out", labels=str(labels))
         assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
         assert parsed == []
-        assert "stage 'setup' failed: unknown content class" in capsys.readouterr().err
+        assert (f"stage 'setup' failed: {labels}: line 2: unknown content class"
+                in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("occupant", [

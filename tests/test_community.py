@@ -17,7 +17,7 @@ from oniongraph.community import (
     read_partition_csv,
     write_partition_csv,
 )
-from oniongraph.errors import DataError
+from oniongraph.errors import DataError, ParseError
 from oniongraph.graphs import ServiceGraph, build_dsg, to_usg, union
 from oniongraph.synth import CorpusSpec, generate_corpus
 
@@ -339,3 +339,9 @@ def test_partition_csv_round_trip():
     write_partition_csv(p, buf)
     buf.seek(0)
     assert read_partition_csv(buf).assignment == p.assignment
+
+
+def test_partition_csv_vertex_listed_twice_names_the_second_line():
+    buf = io.StringIO("vertex,cluster\na.onion,0\nb.onion,1\n\na.onion,1\n")
+    with pytest.raises(ParseError, match=r"^line 5: vertex 'a.onion' listed twice$"):
+        read_partition_csv(buf)

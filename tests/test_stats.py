@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import rankdata, spearmanr
 
-from oniongraph.errors import DataError
+from oniongraph.errors import DataError, ParseError
 from oniongraph.graphs import ServiceGraph
 from oniongraph.metrics import vertex_metrics
 from oniongraph.stats import (
@@ -139,6 +139,18 @@ class TestLabelSet:
     def test_csv_header_checked(self):
         with pytest.raises(DataError, match="label CSV"):
             LabelSet.from_csv(io.StringIO("a,b,c\n"))
+
+    @pytest.mark.parametrize("text,where", [
+        ("service,klass,language\n", "line 1: label CSV must start with"),
+        ("service,class,language\nx.onion,Drugs,en\n\ny.onion,Drugs\n", "line 4: bad label row"),
+        ("service,class,language\nx.onion,Puppies,en\n", "line 2: unknown content class"),
+    ])
+    def test_csv_errors_name_the_file_and_line(self, tmp_path, text, where):
+        path = tmp_path / "labels.csv"
+        path.write_text(text)
+        with open(path, encoding="utf-8") as fh, pytest.raises(ParseError) as err:
+            LabelSet.from_csv(fh)
+        assert str(err.value).startswith(f"{path}: {where}")
 
 
 class TestPrevalence:
