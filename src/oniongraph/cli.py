@@ -158,7 +158,9 @@ _CONFIG_TYPES = {
     "weighted_rank": (lambda v: isinstance(v, bool), "true or false",
                       lambda text: _BOOL_WORDS.get(text.lower(), text)),
     "k_hubs": (lambda v: type(v) is int and v >= 1, "an integer >= 1", int),
-    **dict.fromkeys(("seed_louvain", "fit_min_tail"), _INT),
+    "seed_louvain": _INT,
+    # a fit needs two distinct tail values, so every value <= 2 would fit as 2 does
+    "fit_min_tail": (lambda v: type(v) is int and v >= 2, "an integer >= 2", int),
     **dict.fromkeys(("seed_fit", "fit_bootstrap"), _NON_NEGATIVE_INT),
 }
 

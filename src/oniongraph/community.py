@@ -13,10 +13,17 @@ self-entry holds twice its internal weight, so vertex strength is a plain
 row sum and 2m is the grand total at every aggregation level.
 
 Each row lists its columns in the order of their first entry (for level 0,
-edge order), not in ascending order. The local moves visit a vertex's
-neighbour communities in that order and keep the first of equally good
-moves, so this order is part of what a seed reproduces: sorting the
-columns changes the partitions of some graphs.
+edge order), not in ascending order. The local moves keep the first of
+equally good moves in that order, so this order is part of what a seed
+reproduces: sorting the columns changes the partitions of some graphs.
+
+The local moves keep each vertex's neighbour-community weights up to date
+as vertices move, instead of rescanning its row on every visit (the
+modularity gain of Blondel et al., J. Stat. Mech. 2008, P10008, with
+Louvain's sequential visits kept). A clear best move does not depend on
+the order the weights are held in; a near-tie (two gains within
+_GAIN_EPS) replays the row scan. All weights are integers, so the gains
+are the row scan's floats and the partitions are the same as a row scan's.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from .errors import DataError, ParseError
 from .graphs import ServiceGraph
 
 _GAIN_EPS = 1e-12
+_CHUNK = 1 << 14  # CSR entries converted to lists at a time
 DEFAULT_LOUVAIN_SEED = 0
 
 
@@ -147,17 +155,69 @@ def _csr(keys, weights, n):
     return indptr, keys % n, data, np.bincount(rows, data, n)
 
 
+def _rows(indptr, indices, data):
+    """One level's CSR without its self-entries, as lists (ptr, cols, weights).
+
+    Every column naming vertex v is the same `int` object, so `cols` costs
+    one pointer per entry; the columns are converted in chunks, so the
+    temporary ints of a conversion stay few.
+    """
+    indptr, indices, data = (np.asarray(a) for a in (indptr, indices, data))
+    n = len(indptr) - 1
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    keep = indices != rows
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[keep], minlength=n), out=ptr[1:])
+    indices, data = indices[keep], data[keep]
+    ids = list(range(n))
+    cols: list[int] = []
+    for lo in range(0, len(indices), _CHUNK):
+        cols += map(ids.__getitem__, indices[lo:lo + _CHUNK].tolist())
+    return ptr.tolist(), cols, data.tolist()
+
+
+def _near_tie_move(candidates, cu, around, ku, comm_strength, two_m):
+    """The row scan's move for a vertex of strength `ku` in community `cu`
+    whose two best gains are within _GAIN_EPS: the first of the equally good
+    moves, over its neighbour communities `candidates` in row order. `around`
+    holds their link weights; `comm_strength` has u's strength removed."""
+    base = around.get(cu, 0)
+    s_cu = comm_strength[cu]
+    best_c, best_gain = cu, 0.0
+    for c in candidates:
+        if c != cu:
+            gain = (around[c] - base) / two_m - ku * (comm_strength[c] - s_cu) / (two_m * two_m)
+            if gain > best_gain + _GAIN_EPS:
+                best_c, best_gain = c, gain
+    return best_c
+
+
 def _one_level(indptr, indices, data, strength, two_m, rng) -> tuple[list[int], bool]:
-    """Local-moving phase to a local optimum over one level's CSR lists;
-    returns (community, improved).
+    """Local-moving phase to a local optimum over one level's CSR (arrays or
+    lists) and vertex strengths (a list of floats); returns (community,
+    improved).
 
     Move gain is compared up to a positive factor: moving u from cu to c
     improves Q iff (w_uc - w_ucu)/two_m - k_u (S_c - S_cu)/two_m^2 > 0,
     with u's strength removed from both community totals.
+
+    `links[u]` maps each community next to u to its summed link weight.
+    The first sweep, which moves most vertices while the maps would be
+    largest, builds it on each visit and drops it. From the second sweep on,
+    u's first visit keeps it, and each move of a neighbour updates it; a
+    community whose weight drops to 0 leaves it. A visit takes the best gain
+    when it beats every other by more than _GAIN_EPS; on a near-tie it
+    replays the row scan (`_near_tie_move`). Weights and strengths are
+    integers held exactly in floats, so every gain is the row scan's float
+    and the partition is the row scan's partition.
     """
-    n = len(indptr) - 1
+    ptr, cols, wts = _rows(indptr, indices, data)
+    n = len(ptr) - 1
     community = list(range(n))
     comm_strength = list(strength)
+    links: list[dict | None] = [None] * n
+    keep_links = False
+    two_m2 = two_m * two_m
     order = list(range(n))
     improved = False
     moved = True
@@ -167,27 +227,47 @@ def _one_level(indptr, indices, data, strength, two_m, rng) -> tuple[list[int], 
         for u in order:
             cu = community[u]
             ku = strength[u]
-            links: dict[int, float] = {}
-            lo, hi = indptr[u], indptr[u + 1]
-            for v, w in zip(indices[lo:hi], data[lo:hi]):
-                if v != u:
+            lo, hi = ptr[u], ptr[u + 1]
+            around = links[u]
+            if around is None:
+                around = {}
+                for v, w in zip(cols[lo:hi], wts[lo:hi]):
                     cv = community[v]
-                    links[cv] = links.get(cv, 0.0) + w
+                    around[cv] = around.get(cv, 0) + w
+                if keep_links:
+                    links[u] = around
             comm_strength[cu] -= ku
-            base = links.get(cu, 0.0)
-            best_c, best_gain = cu, 0.0
-            for c, w_uc in links.items():
-                if c == cu:
-                    continue
-                gain = (w_uc - base) / two_m \
-                    - ku * (comm_strength[c] - comm_strength[cu]) / (two_m * two_m)
-                if gain > best_gain + _GAIN_EPS:
-                    best_c, best_gain = c, gain
+            s_cu = comm_strength[cu]
+            base = around.get(cu, 0)
+            best_c, top, second = cu, -math.inf, -math.inf
+            for c, w_uc in around.items():
+                if c != cu:
+                    gain = (w_uc - base) / two_m - ku * (comm_strength[c] - s_cu) / two_m2
+                    if gain > top:
+                        best_c, top, second = c, gain, top
+                    elif gain > second:
+                        second = gain
+            if not top > _GAIN_EPS:
+                best_c = cu
+            elif not top > second + _GAIN_EPS:
+                best_c = _near_tie_move(
+                    dict.fromkeys(map(community.__getitem__, cols[lo:hi])),
+                    cu, around, ku, comm_strength, two_m,
+                )
             community[u] = best_c
             comm_strength[best_c] += ku
             if best_c != cu:
-                moved = True
-                improved = True
+                moved = improved = True
+                for v, w in zip(cols[lo:hi], wts[lo:hi]):
+                    near = links[v]
+                    if near is not None:
+                        left = near[cu] - w
+                        if left:
+                            near[cu] = left
+                        else:
+                            del near[cu]
+                        near[best_c] = near.get(best_c, 0) + w
+        keep_links = True
     return community, improved
 
 
@@ -200,14 +280,14 @@ def louvain(g: ServiceGraph, seed: int = DEFAULT_LOUVAIN_SEED) -> Partition:
     rng = random.Random(seed)
     n = g.N
     # per edge, (src, dst) then (dst, src)
-    keys = np.column_stack([g.edge_src * n + g.edge_dst, g.edge_dst * n + g.edge_src]).ravel()
-    indptr, indices, data, strength = _csr(keys, np.repeat(g.edge_weight, 2), n)
+    indptr, indices, data, strength = _csr(
+        np.column_stack([g.edge_src * n + g.edge_dst, g.edge_dst * n + g.edge_src]).ravel(),
+        np.repeat(g.edge_weight, 2), n,
+    )
     two_m = float(strength.sum())
     node_to_current = np.arange(n)
     while True:
-        community, improved = _one_level(
-            indptr.tolist(), indices.tolist(), data.tolist(), strength.tolist(), two_m, rng
-        )
+        community, improved = _one_level(indptr, indices, data, strength.tolist(), two_m, rng)
         if not improved:
             break
         # supernodes numbered by first appearance in vertex order

@@ -401,6 +401,17 @@ def read_graph_file(path) -> ServiceGraph:
     same = ids.setdefault
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
+            parts = raw.split("\t")
+            # an edge line after the header; int() ignores the weight's newline
+            if len(parts) == 3 and directed is not None and raw[0] != "#":
+                try:
+                    weights.append(int(parts[2]))
+                except ValueError:
+                    pass  # a blank line or a bad weight: the checks below report it
+                else:
+                    sources.append(same(parts[0], parts[0]))
+                    targets.append(same(parts[1], parts[1]))
+                    continue
             line = raw.rstrip("\n")
             if not line.strip():
                 continue

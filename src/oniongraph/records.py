@@ -14,6 +14,11 @@ parse an id seen before is the earlier `str` object, so records cost
 memory per distinct service id rather than per link, and
 `summarize_services` folds pages as they arrive, so summaries of a stream
 of files (`oniongraph ingest`) never hold a list of records.
+
+Each line goes straight to the scanner `json.loads` runs
+(`JSONDecoder().scan_once`), which skips `json.loads`'s own checks. A line
+the scanner rejects, or does not consume whole, is parsed again by
+`json.loads`, so the error message is the one `json.loads` gives.
 """
 
 from __future__ import annotations
@@ -97,6 +102,8 @@ class PersistenceReport:
 
 
 _REQUIRED_FIELDS = ("snapshot", "service", "path", "depth", "chars", "links")
+_STR_ONLY = {str}
+_scan = json.JSONDecoder().scan_once
 
 
 def _field_error(name: str, why: str, line_no: int, source) -> ParseError:
@@ -119,31 +126,39 @@ def iter_pages(lines: Iterable[str], source=None) -> Iterator[PageRecord]:
         if not line:
             continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON ({exc.msg})", line_no, source) from exc
-        if not isinstance(obj, dict):
+            obj, end = _scan(line, 0)
+        except (StopIteration, json.JSONDecodeError):
+            end = -1
+        if end != len(line):
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"invalid JSON ({exc.msg})", line_no, source) from exc
+        if type(obj) is not dict:
             raise ParseError("record is not a JSON object", line_no, source)
-        for name in _REQUIRED_FIELDS:
-            if name not in obj:
-                raise _field_error(name, "is missing", line_no, source)
-        snapshot = obj["snapshot"]
-        service = obj["service"]
-        path = obj["path"]
-        depth = obj["depth"]
-        chars = obj["chars"]
-        links = obj["links"]
-        if not isinstance(snapshot, str) or not snapshot:
+        try:
+            snapshot = obj["snapshot"]
+            service = obj["service"]
+            path = obj["path"]
+            depth = obj["depth"]
+            chars = obj["chars"]
+            links = obj["links"]
+        except KeyError:
+            name = next(name for name in _REQUIRED_FIELDS if name not in obj)
+            raise _field_error(name, "is missing", line_no, source) from None
+        # decoded JSON holds exactly dict, list, str, int, float, bool and
+        # None, so `type(x) is int` is an integer and never a bool
+        if type(snapshot) is not str or not snapshot:
             raise _field_error("snapshot", "must be a non-empty string", line_no, source)
-        if not isinstance(service, str) or not service:
+        if type(service) is not str or not service:
             raise _field_error("service", "must be a non-empty string", line_no, source)
-        if not isinstance(path, str):
+        if type(path) is not str:
             raise _field_error("path", "must be a string", line_no, source)
-        if isinstance(depth, bool) or not isinstance(depth, int) or depth < 0:
+        if type(depth) is not int or depth < 0:
             raise _field_error("depth", "must be a non-negative integer", line_no, source)
-        if isinstance(chars, bool) or not isinstance(chars, int) or chars < 0:
+        if type(chars) is not int or chars < 0:
             raise _field_error("chars", "must be a non-negative integer", line_no, source)
-        if not isinstance(links, list) or any(not isinstance(t, str) for t in links):
+        if type(links) is not list or not set(map(type, links)) <= _STR_ONLY:
             raise _field_error("links", "must be an array of strings", line_no, source)
         yield PageRecord(
             snapshot_id=same(snapshot, snapshot),

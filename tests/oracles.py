@@ -9,7 +9,9 @@ references are scipy.optimize itself.
 """
 
 import itertools
+import json
 import math
+import random
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
@@ -440,3 +442,120 @@ def modularity_oracle(g, labels):
     c = np.array([labels[v] for v in g.vertices])
     same = c[:, None] == c[None, :]
     return float(((a - np.outer(k, k) / two_m) * same).sum() / two_m)
+
+
+def _louvain_csr_oracle(keys, weights, n):
+    """The CSR arrays of the row-scan Louvain: entries (row * n + col,
+    weight) summed, each row's columns in order of their first entry."""
+    keys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    data = np.bincount(inverse, weights=weights).astype(np.int64)
+    seq = np.lexsort((first, keys // n))
+    keys, data = keys[seq], data[seq]
+    rows = keys // n
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, keys % n, data, np.bincount(rows, data, n)
+
+
+def _one_level_row_scan_oracle(indptr, indices, data, strength, two_m, rng, eps=1e-12):
+    """Louvain local moves that rebuild a vertex's neighbour-community
+    weights from its CSR row on every visit and keep the first of equally
+    good moves in row order."""
+    n = len(indptr) - 1
+    community = list(range(n))
+    comm_strength = list(strength)
+    order = list(range(n))
+    improved = False
+    moved = True
+    while moved:
+        moved = False
+        rng.shuffle(order)
+        for u in order:
+            cu = community[u]
+            ku = strength[u]
+            links = {}
+            lo, hi = indptr[u], indptr[u + 1]
+            for v, w in zip(indices[lo:hi], data[lo:hi]):
+                if v != u:
+                    cv = community[v]
+                    links[cv] = links.get(cv, 0.0) + w
+            comm_strength[cu] -= ku
+            base = links.get(cu, 0.0)
+            best_c, best_gain = cu, 0.0
+            for c, w_uc in links.items():
+                if c == cu:
+                    continue
+                gain = (w_uc - base) / two_m \
+                    - ku * (comm_strength[c] - comm_strength[cu]) / (two_m * two_m)
+                if gain > best_gain + eps:
+                    best_c, best_gain = c, gain
+            community[u] = best_c
+            comm_strength[best_c] += ku
+            if best_c != cu:
+                moved = True
+                improved = True
+    return community, improved
+
+
+def louvain_row_scan_oracle(g, seed=0):
+    """Seeded Louvain with row-scan local moves (vertices shuffled by
+    `random.Random(seed)`, supernodes numbered by first appearance); returns
+    the raw vertex -> community labels, before dense relabelling."""
+    rng = random.Random(seed)
+    n = g.N
+    if g.M == 0:
+        return {v: i for i, v in enumerate(g.vertices)}
+    keys = np.column_stack([g.edge_src * n + g.edge_dst, g.edge_dst * n + g.edge_src]).ravel()
+    indptr, indices, data, strength = _louvain_csr_oracle(keys, np.repeat(g.edge_weight, 2), n)
+    two_m = float(strength.sum())
+    node_to_current = np.arange(n)
+    while True:
+        community, improved = _one_level_row_scan_oracle(
+            indptr.tolist(), indices.tolist(), data.tolist(), strength.tolist(), two_m, rng
+        )
+        if not improved:
+            break
+        _, first, inverse = np.unique(community, return_index=True, return_inverse=True)
+        node_map = np.argsort(np.argsort(first))[inverse]
+        rows = node_map[np.repeat(np.arange(n), np.diff(indptr))]
+        n = len(first)
+        indptr, indices, data, strength = _louvain_csr_oracle(
+            rows * n + node_map[indices], data, n
+        )
+        node_to_current = node_map[node_to_current]
+    return dict(zip(g.vertices, node_to_current.tolist()))
+
+
+PAGE_FIELDS = ("snapshot", "service", "path", "depth", "chars", "links")
+
+
+def page_line_oracle(line):
+    """One non-blank page-record line read with `json.loads` and isinstance
+    checks: the ParseError message (without its line prefix) for a bad line,
+    else the tuple of the record's six field values."""
+    try:
+        obj = json.loads(line.strip())
+    except json.JSONDecodeError as exc:
+        return f"invalid JSON ({exc.msg})"
+    if not isinstance(obj, dict):
+        return "record is not a JSON object"
+    for name in PAGE_FIELDS:
+        if name not in obj:
+            return f"field '{name}' is missing"
+    snapshot, service, path, depth, chars, links = (obj[name] for name in PAGE_FIELDS)
+
+    def count(v):
+        return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+    for name, ok, why in (
+        ("snapshot", isinstance(snapshot, str) and snapshot != "", "must be a non-empty string"),
+        ("service", isinstance(service, str) and service != "", "must be a non-empty string"),
+        ("path", isinstance(path, str), "must be a string"),
+        ("depth", count(depth), "must be a non-negative integer"),
+        ("chars", count(chars), "must be a non-negative integer"),
+        ("links", isinstance(links, list) and all(isinstance(t, str) for t in links),
+         "must be an array of strings"),
+    ):
+        if not ok:
+            return f"field '{name}' {why}"
+    return snapshot, service, path, depth, chars, tuple(links)

@@ -253,6 +253,7 @@ class TestExitCodes:
         ("labels", 5), ("labels", ["l.tsv"]), ("out_dir", 5), ("component_policy", None),
         ("snapshots", {}), ("graph_sets", ["union", "all"]), ("directedness", ["both"]),
         ("component_policy", "largest"), ("k_hubs", 0), ("seed_fit", -1), ("fit_bootstrap", -1),
+        ("fit_min_tail", 1), ("fit_min_tail", True),
     ])
     def test_config_value_of_wrong_type_is_1(self, tmp_path, capsys, key, value):
         pages = tmp_path / "s1.jsonl"
@@ -288,6 +289,9 @@ class TestExitCodes:
         ("metrics", "--k-hubs", "-4"),
         ("metrics", "--weighted-rank", "maybe"),
         ("fit", "--min-tail", "2.5"),
+        ("fit", "--min-tail", "1"),
+        ("fit", "--min-tail", "0"),
+        ("fit", "--min-tail", "-5"),
         ("fit", "--bootstrap", "-3"),
         ("fit", "--seed-fit", "-1"),
         ("communities", "--seed-louvain", "x"),

@@ -2,6 +2,7 @@ import hashlib
 import io
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from oniongraph.synth import CorpusSpec, generate_corpus
 from oracles import (
     expected_mi_oracle,
     expected_mi_sum_oracle,
+    louvain_row_scan_oracle,
     modularity_oracle,
     random_digraph,
     random_undirected,
@@ -170,6 +172,63 @@ class TestLouvain:
         assert q == pytest.approx(modularity_oracle(g, part.assignment), abs=1e-9)
         singletons = {v: i for i, v in enumerate(g.vertices)}
         assert q >= modularity_oracle(g, singletons)
+
+
+def ring(n):
+    return ug([(vid(i), vid((i + 1) % n), 1) for i in range(n)])
+
+
+def k33():
+    return ug([(vid(i), vid(3 + j), 1) for i in range(3) for j in range(3)])
+
+
+class TestLouvainMatchesRowScanOracle:
+    """The local moves keep neighbour-community weights up to date; the row
+    scan rebuilds them on every visit. Both must give the same partitions."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_graphs(self, seed):
+        # seed 17 (louvain seed 0) is a case where a community that every
+        # neighbour of a vertex has left would win if it stayed a candidate
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(10, 80))
+        p = float(rng.uniform(0.03, 0.3))
+        max_weight = int(rng.integers(1, 4))  # unit weights make ties common
+        g = (random_digraph if seed % 2 else random_undirected)(rng, n, p, max_weight)
+        for louvain_seed in range(3):
+            expected = Partition.from_labels(louvain_row_scan_oracle(g, louvain_seed))
+            assert louvain(g, seed=louvain_seed).assignment == expected.assignment
+
+    @pytest.mark.parametrize("name,graph", [
+        ("path", lambda: ug([("a.onion", "b.onion", 1), ("b.onion", "c.onion", 1)])),
+        ("ring", lambda: ring(12)),
+        ("k33", k33),
+    ])
+    def test_tie_heavy_graphs_replay_the_row_scan(self, monkeypatch, name, graph):
+        g = graph()
+        replays = []
+        real = community._near_tie_move
+
+        def counted(*args):
+            replays.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(community, "_near_tie_move", counted)
+        for seed in range(8):
+            expected = Partition.from_labels(louvain_row_scan_oracle(g, seed))
+            assert louvain(g, seed=seed).assignment == expected.assignment
+        assert replays
+
+    def test_peak_memory_near_the_row_scan(self, default_union):
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run(default_union, 0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(louvain) <= 1.25 * peak(louvain_row_scan_oracle)
 
 
 class TestModularity:

@@ -343,6 +343,43 @@ def test_graph_file_missing_header(tmp_path):
         read_graph_file(path)
 
 
+@pytest.mark.parametrize(
+    "body, edges, isolated",
+    [
+        ("a.onion\tb.onion\t1\n\t\t\nb.onion\tc.onion\t2\n",
+         [("a.onion", "b.onion", 1), ("b.onion", "c.onion", 2)], []),
+        ("a.onion\tb.onion\t1\n \t \t \n", [("a.onion", "b.onion", 1)], []),
+        ("a.onion\tb.onion\t1\n# vertex z.onion\n", [("a.onion", "b.onion", 1)], ["z.onion"]),
+        ("a.onion\tb.onion\t 3 \n", [("a.onion", "b.onion", 3)], []),
+        ("a.onion\tb.onion\t4", [("a.onion", "b.onion", 4)], []),
+    ],
+)
+def test_graph_file_reader_accepts(tmp_path, body, edges, isolated):
+    path = tmp_path / "g.tsv"
+    path.write_text("# directed\n" + body)
+    assert read_graph_file(path) == dg(edges, isolated)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a.onion\tb.onion\t1\n# directed\n", "missing '# directed|undirected' header"),
+        ("# directed\na.onion\tb.onion\n", "expected 'src\\ttarget\\tweight' at line 2"),
+        ("# directed\na.onion\tb.onion\t1\t1\n", "expected 'src\\ttarget\\tweight' at line 2"),
+        ("# directed\na.onion\tb.onion\t1\nb.onion\tc.onion\tx\n", "bad weight at line 3: 'x'"),
+        ("# directed\na.onion\tb.onion\t\n", "bad weight at line 2: ''"),
+        ("# directed\n#a.onion\tb.onion\t1\n",
+         "unrecognized comment at line 2: '#a.onion\\tb.onion\\t1'"),
+    ],
+)
+def test_graph_file_reader_rejects(tmp_path, text, message):
+    path = tmp_path / "g.tsv"
+    path.write_text(text)
+    with pytest.raises(DataError) as info:
+        read_graph_file(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
 def test_graph_file_round_trips_awkward_ids(tmp_path):
     g = dg([("a b.onion", "#b.onion", 2), (" c.onion ", "a b.onion", 1)], isolated=["#x", "y z"])
     write_graph_file(g, tmp_path / "g.tsv")

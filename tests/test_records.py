@@ -16,6 +16,8 @@ from oniongraph.records import (
 )
 from oniongraph.synth import CorpusSpec, generate_corpus
 
+from oracles import page_line_oracle
+
 
 def make_line(**overrides):
     base = {
@@ -72,6 +74,67 @@ class TestParsePages:
     def test_bool_depth_rejected(self):
         with pytest.raises(ParseError, match="depth"):
             parse_pages([make_line(depth=True)])
+
+
+def without(*names):
+    record = json.loads(make_line())
+    for name in names:
+        del record[name]
+    return json.dumps(record)
+
+
+class TestParserMatchesJsonLoadsReference:
+    @pytest.mark.parametrize("line", [
+        "{not json",
+        "{} x",
+        make_line() + " x",
+        make_line() + " {}",
+        "\ufeff" + make_line(),
+        "[1]",
+        "1",
+        '"record"',
+        "null",
+        '{"snapshot": "S1"',
+        '{"snapshot": "S1",}',
+        '{"snapshot": "S\\x"}',
+        "{'snapshot': 'S1'}",
+        make_line(depth=True),
+        make_line(depth=1.0),
+        make_line(depth=-1),
+        make_line(chars=1.0),
+        make_line(chars=False),
+        make_line(chars="100"),
+        make_line(links=[1]),
+        make_line(links=[[]]),
+        make_line(links=["x.onion", None]),
+        make_line(links="x.onion"),
+        make_line(links={"x.onion": 1}),
+        make_line(snapshot=""),
+        make_line(service=5),
+        make_line(path=None),
+        without("path", "snapshot"),
+        without("links", "depth"),
+        without(*("snapshot", "service", "path", "depth", "chars", "links")),
+    ])
+    def test_bad_line_message(self, line):
+        expected = page_line_oracle(line)
+        assert isinstance(expected, str)
+        with pytest.raises(ParseError) as info:
+            parse_pages([make_line(), line])
+        assert str(info.value) == f"line 2: {expected}"
+
+    @pytest.mark.parametrize("line", [
+        make_line(),
+        "  " + make_line() + "\t\n",
+        make_line(links=[], path="", depth=10**30, chars=0),
+        make_line(service="\u00e9.onion", links=["\ud83d\ude00.onion"], extra=[1, {"a": None}]),
+        '{"links": ["a.onion"], "chars": 5, "depth": 1, "path": "/p", "service": "s.onion", '
+        '"snapshot": "S2", "snapshot": "S3"}',
+    ])
+    def test_good_line_record(self, line):
+        (record,) = parse_pages([line])
+        assert (record.snapshot_id, record.service_id, record.page_path, record.depth,
+                record.char_count, record.out_links) == page_line_oracle(line)
 
 
 class TestSharedIds:
