@@ -10,11 +10,9 @@ shape: a small strongly connected core with almost everything in OUT.
 from oniongraph import (
     CorpusSpec,
     Partition,
-    ami,
     ami_on_common,
     bowtie_decompose,
     build_dsg,
-    cluster_size_distribution,
     generate_corpus,
     louvain,
     modularity,
@@ -30,11 +28,11 @@ dsgu = union(list(dsgs.values()))
 
 part = louvain(usgu, seed=0)
 print(f"louvain on the mutual-link union: {part.n_clusters} clusters, "
-      f"sizes {cluster_size_distribution(part)}")
+      f"sizes {part.cluster_sizes()}")
 print(f"modularity: {modularity(usgu, part):.3f}")
 
 planted = Partition.from_labels(corpus.planted["communities"])
-print(f"AMI vs planted blocks: {ami(part, planted.restricted_to(part.assignment)):.3f}")
+print(f"AMI vs planted blocks: {ami_on_common(part, planted)[0]:.3f}")
 
 # stability across snapshots: cluster each snapshot graph and compare
 parts = {s: louvain(to_usg(dsgs[s]), seed=0) for s in snaps}

@@ -12,7 +12,6 @@ from .community import (
     Partition,
     ami,
     ami_on_common,
-    cluster_size_distribution,
     louvain,
     modularity,
 )

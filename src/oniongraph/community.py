@@ -44,54 +44,47 @@ _CHUNK = 1 << 14  # CSR entries converted to lists at a time
 DEFAULT_LOUVAIN_SEED = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
-    """Vertex -> dense integer cluster labels (0..k-1)."""
+    """Sorted vertices and aligned int64 cluster labels, numbered 0..k-1 in
+    order of first appearance (`labels[i]` is the cluster of `vertices[i]`)."""
 
-    assignment: dict[str, int]
+    vertices: tuple[str, ...]
+    labels: np.ndarray
+
+    @classmethod
+    def of(cls, vertices, raw) -> "Partition":
+        """Relabel `raw`, aligned with the sorted `vertices`, by first appearance."""
+        _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+        return cls(tuple(vertices), np.argsort(np.argsort(first))[inverse].astype(np.int64))
 
     @classmethod
     def from_labels(cls, labels: dict) -> "Partition":
-        """Relabel arbitrary cluster labels densely, by first appearance in
-        sorted-vertex order (deterministic)."""
-        dense: dict = {}
-        assignment = {}
-        for v in sorted(labels):
-            raw = labels[v]
-            if raw not in dense:
-                dense[raw] = len(dense)
-            assignment[v] = dense[raw]
-        return cls(assignment)
+        """Partition of a vertex -> label dict, relabelled by `of`."""
+        vertices = sorted(labels)
+        return cls.of(vertices, [labels[v] for v in vertices])
+
+    @property
+    def assignment(self) -> dict[str, int]:
+        return dict(zip(self.vertices, self.labels.tolist()))
 
     @property
     def n_vertices(self) -> int:
-        return len(self.assignment)
+        return len(self.vertices)
 
     @property
     def n_clusters(self) -> int:
-        return len(set(self.assignment.values())) if self.assignment else 0
+        return int(self.labels.max()) + 1 if len(self.labels) else 0
 
     def cluster_sizes(self) -> list[int]:
-        counts: dict[int, int] = {}
-        for c in self.assignment.values():
-            counts[c] = counts.get(c, 0) + 1
-        return sorted(counts.values(), reverse=True)
-
-    def restricted_to(self, vertices) -> "Partition":
-        keep = {v: self.assignment[v] for v in vertices if v in self.assignment}
-        return Partition.from_labels(keep)
-
-
-def cluster_size_distribution(p: Partition) -> list[int]:
-    """Cluster sizes in non-increasing order; sums to the vertex count."""
-    return p.cluster_sizes()
+        """Cluster sizes in non-increasing order; sums to the vertex count."""
+        return sorted(np.bincount(self.labels).tolist(), reverse=True)
 
 
 def write_partition_csv(p: Partition, fh) -> None:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["vertex", "cluster"])
-    for v in sorted(p.assignment):
-        writer.writerow([v, p.assignment[v]])
+    writer.writerows(zip(p.vertices, p.labels.tolist()))
 
 
 def read_partition_csv(fh) -> Partition:
@@ -119,12 +112,14 @@ def read_partition_csv(fh) -> Partition:
 
 def modularity(g: ServiceGraph, p: Partition) -> float:
     """Weighted Newman modularity of the partition on the symmetrized graph."""
-    missing = [v for v in g.vertices if v not in p.assignment]
-    if missing:
-        raise DataError(f"partition misses {len(missing)} vertices (e.g. {missing[0]!r})")
+    _, in_g, in_p = np.intersect1d(g.vertices, p.vertices, assume_unique=True,
+                                   return_indices=True)
+    if len(in_g) < g.N:
+        missing = np.delete(g.vertices, in_g)
+        raise DataError(f"partition misses {len(missing)} vertices (e.g. {str(missing[0])!r})")
     if g.M == 0:
         raise DataError("modularity of an edgeless graph")
-    labels = np.array([p.assignment[v] for v in g.vertices], dtype=np.int64)
+    labels = p.labels[in_p]  # in_g is 0..N-1, since g.vertices is sorted
     # symmetrized weights: every stored edge counts in both directions, so a
     # mutual directed pair folds to w_uv + w_vu automatically
     w = g.edge_weight.astype(np.float64)
@@ -276,7 +271,7 @@ def louvain(g: ServiceGraph, seed: int = DEFAULT_LOUVAIN_SEED) -> Partition:
     if g.N == 0:
         raise DataError("louvain of an empty graph")
     if g.M == 0:
-        return Partition.from_labels({v: i for i, v in enumerate(g.vertices)})
+        return Partition(g.vertices, np.arange(g.N))
     rng = random.Random(seed)
     n = g.N
     # per edge, (src, dst) then (dst, src)
@@ -297,20 +292,17 @@ def louvain(g: ServiceGraph, seed: int = DEFAULT_LOUVAIN_SEED) -> Partition:
         n = len(first)
         indptr, indices, data, strength = _csr(rows * n + node_map[indices], data, n)
         node_to_current = node_map[node_to_current]
-    return Partition.from_labels(dict(zip(g.vertices, node_to_current.tolist())))
+    # every level numbers by first appearance, so these labels are already dense
+    return Partition(g.vertices, node_to_current)
 
 
 # -- adjusted mutual information ----------------------------------------------
 
 
-def _contingency(p1: Partition, p2: Partition):
-    vertices = sorted(p1.assignment)
-    a = np.array([p1.assignment[v] for v in vertices], dtype=np.int64)
-    b = np.array([p2.assignment[v] for v in vertices], dtype=np.int64)
+def _contingency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Counts of each (a, b) label pair of two aligned dense label arrays."""
     r, c = int(a.max()) + 1, int(b.max()) + 1
-    table = np.zeros((r, c), dtype=np.int64)
-    np.add.at(table, (a, b), 1)
-    return table
+    return np.bincount(a * c + b, minlength=r * c).reshape(r, c)
 
 
 def _entropy(counts: np.ndarray, n: int) -> float:
@@ -358,12 +350,12 @@ def ami(p1: Partition, p2: Partition) -> float:
     1 for identical partitions (up to relabeling), ~0 for independent ones.
     Requires identical vertex domains.
     """
-    if set(p1.assignment) != set(p2.assignment):
+    if p1.vertices != p2.vertices:
         raise DataError("partitions cover different vertex sets")
     n = p1.n_vertices
     if n == 0:
         raise DataError("empty partitions")
-    table = _contingency(p1, p2)
+    table = _contingency(p1.labels, p2.labels)
     if table.shape == (1, 1):
         return 1.0  # both trivial: identical by definition
     mi = _mutual_information(table, n)
@@ -379,9 +371,13 @@ def ami(p1: Partition, p2: Partition) -> float:
 def ami_on_common(p1: Partition, p2: Partition) -> tuple[float, int]:
     """AMI restricted to the shared vertex set; returns (score, n_common).
 
-    Score is NaN when fewer than 2 vertices are shared.
+    Score is NaN when fewer than 2 vertices are shared. Both restrictions are
+    relabelled by first appearance: the table's order fixes the AMI's bits.
     """
-    common = set(p1.assignment) & set(p2.assignment)
+    common, in_1, in_2 = np.intersect1d(p1.vertices, p2.vertices, assume_unique=True,
+                                        return_indices=True)
     if len(common) < 2:
         return math.nan, len(common)
-    return ami(p1.restricted_to(common), p2.restricted_to(common)), len(common)
+    common = tuple(common.tolist())
+    score = ami(Partition.of(common, p1.labels[in_1]), Partition.of(common, p2.labels[in_2]))
+    return score, len(common)

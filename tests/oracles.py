@@ -5,7 +5,9 @@ distances come from Floyd-Warshall min-plus iteration, path counts from a
 DP over the distance matrix, reachability from boolean matrix closure,
 expected MI from enumerating permutations, rank scores and modularity from
 dense matrices. The fit solvers are ported from scipy.optimize, so their
-references are scipy.optimize itself.
+references are scipy.optimize itself. The AMI-on-common-vertices oracle is
+compared bit for bit, so it replays only the dict path that builds the
+contingency table and scores that table with the package's own kernels.
 """
 
 import itertools
@@ -17,6 +19,7 @@ import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 from scipy.special import zeta
 
+from oniongraph import community
 from oniongraph.graphs import ServiceGraph
 
 
@@ -384,6 +387,47 @@ def expected_mi_sum_oracle(row_sums, col_sums):
                          - lg(k + 1) - lg(a - k + 1) - lg(b - k + 1) - lg(n - a - b + k + 1))
                 total.append(k / n * math.log(n * k / (a * b)) * math.exp(log_p))
     return math.fsum(total)
+
+
+def _dense_labels_oracle(labels):
+    """A vertex -> label dict relabelled 0..k-1 by first appearance in
+    sorted-vertex order."""
+    dense: dict = {}
+    assignment = {}
+    for v in sorted(labels):
+        raw = labels[v]
+        if raw not in dense:
+            dense[raw] = len(dense)
+        assignment[v] = dense[raw]
+    return assignment
+
+
+def ami_on_common_oracle(labels1, labels2):
+    """AMI of two vertex -> label dicts on their shared vertices, by the dict
+    path: the set intersection, each side restricted and relabelled densely,
+    and the contingency table filled from lookups in sorted-vertex order.
+    Returns (score, n_common); the score is NaN below 2 shared vertices."""
+    common = set(labels1) & set(labels2)
+    if len(common) < 2:
+        return math.nan, len(common)
+    d1 = _dense_labels_oracle({v: labels1[v] for v in common})
+    d2 = _dense_labels_oracle({v: labels2[v] for v in common})
+    vertices = sorted(d1)
+    a = np.array([d1[v] for v in vertices], dtype=np.int64)
+    b = np.array([d2[v] for v in vertices], dtype=np.int64)
+    table = np.zeros((int(a.max()) + 1, int(b.max()) + 1), dtype=np.int64)
+    np.add.at(table, (a, b), 1)
+    n = len(vertices)
+    if table.shape == (1, 1):
+        return 1.0, n
+    mi = community._mutual_information(table, n)
+    emi = community._expected_mi(table, n)
+    h1 = community._entropy(table.sum(axis=1), n)
+    h2 = community._entropy(table.sum(axis=0), n)
+    denom = 0.5 * (h1 + h2) - emi
+    if abs(denom) < 1e-15:
+        return (1.0 if abs(mi - emi) < 1e-15 else 0.0), n
+    return (mi - emi) / denom, n
 
 
 def _dense_weights(g, weighted=True):

@@ -13,7 +13,9 @@ import pytest
 
 from oniongraph.bowtie import CLASSES, bowtie_decompose
 from oniongraph.cli import RunConfig, run_pipeline
-from oniongraph.community import Partition, ami, louvain, modularity, read_partition_csv
+from oniongraph.community import (
+    Partition, ami, ami_on_common, louvain, modularity, read_partition_csv,
+)
 from oniongraph.fitting import (
     compare_fits,
     fit_lognormal,
@@ -306,7 +308,7 @@ def test_criterion_8_end_to_end_determinism_and_structure(pipeline_runs):
     with open(root / "run1" / "communities" / "usg_union.partition.csv") as fh:
         part = read_partition_csv(fh)
     planted = Partition.from_labels(corpus.planted["communities"])
-    score = ami(part, planted.restricted_to(part.assignment))
+    score = ami_on_common(part, planted)[0]
     assert score >= 0.9, f"AMI vs planted communities was {score:.3f}"
     report(8, f"pipeline deterministic ({elapsed:.0f}s for two runs), hub curve "
               f"first entry {hub_curve['curve'][0]:.2f}, retention exact, "

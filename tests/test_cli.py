@@ -384,6 +384,16 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"error: {where}")
         assert not files["out"].exists()
 
+    def test_compare_of_header_only_partitions(self, tmp_path, capsys):
+        empty, out = tmp_path / "empty.csv", tmp_path / "ami.json"
+        empty.write_text("vertex,cluster\n")
+        argv = ["compare", "--a", str(empty), "--b", str(empty), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: empty partitions\n"
+        assert not out.exists()
+        assert main([*argv, "--restrict-common"]) == 0
+        assert json.loads(out.read_text()) == {"ami": None, "common_vertices": 0}
+
     def test_every_config_key_has_a_type_check(self):
         assert set(cli._CONFIG_TYPES) == {f.name for f in fields(RunConfig)}
 

@@ -12,7 +12,6 @@ from oniongraph.community import (
     Partition,
     ami,
     ami_on_common,
-    cluster_size_distribution,
     louvain,
     modularity,
     read_partition_csv,
@@ -23,6 +22,7 @@ from oniongraph.graphs import ServiceGraph, build_dsg, to_usg, union
 from oniongraph.synth import CorpusSpec, generate_corpus
 
 from oracles import (
+    ami_on_common_oracle,
     expected_mi_oracle,
     expected_mi_sum_oracle,
     louvain_row_scan_oracle,
@@ -320,6 +320,46 @@ class TestAmi:
         assert math.isnan(score) and n_common == 0
 
 
+def overlapping_labels(rng):
+    """Two vertex -> label dicts over a shared pool of vertices: each side
+    keeps about 80 % of the pool and uses 2-12 raw labels."""
+    n = int(rng.integers(10, 150))
+    sides = []
+    for _ in range(2):
+        k = int(rng.integers(2, 13))
+        kept = np.flatnonzero(rng.random(n) < 0.8)
+        sides.append({vid(i): 7 * int(rng.integers(0, k)) + 3 for i in kept})
+    return sides
+
+
+class TestAmiOnCommonMatchesDictOracle:
+    """`ami_on_common` restricts label arrays where the dict path restricted
+    dicts. Both renumber each restriction by first appearance, which fixes
+    the contingency table's order, so the AMI bits agree."""
+
+    def test_random_partly_overlapping_pairs(self):
+        rng = np.random.default_rng(2010)
+        for trial in range(300):
+            labels1, labels2 = overlapping_labels(rng)
+            score, n_common = ami_on_common(Partition.from_labels(labels1),
+                                            Partition.from_labels(labels2))
+            expected, expected_common = ami_on_common_oracle(labels1, labels2)
+            assert (score.hex(), n_common) == (expected.hex(), expected_common), trial
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_louvain_pairs_of_random_graphs(self, seed):
+        rng = np.random.default_rng(seed)
+        graphs = []
+        for _ in range(2):
+            g = (random_digraph if seed % 2 else random_undirected)(rng, 80, 0.06)
+            graphs.append(g.subgraph(v for v in g.vertices if rng.random() < 0.8))
+        score, n_common = ami_on_common(*(louvain(g, seed=seed) for g in graphs))
+        expected, expected_common = ami_on_common_oracle(
+            *(louvain_row_scan_oracle(g, seed) for g in graphs)
+        )
+        assert (score.hex(), n_common) == (expected.hex(), expected_common)
+
+
 def table_with_marginals(row_sums, col_sums):
     """A contingency table with these row and column sums."""
     x = np.repeat(np.arange(len(row_sums)), row_sums)
@@ -376,18 +416,18 @@ class TestExpectedMi:
 class TestClusterSizes:
     def test_singletons(self):
         p = Partition.from_labels({vid(i): i for i in range(5)})
-        assert cluster_size_distribution(p) == [1, 1, 1, 1, 1]
+        assert p.cluster_sizes() == [1, 1, 1, 1, 1]
 
     def test_one_cluster(self):
         p = Partition.from_labels({vid(i): 0 for i in range(9)})
-        assert cluster_size_distribution(p) == [9]
+        assert p.cluster_sizes() == [9]
 
     def test_planted_sizes_sorted(self):
         labels = {vid(i): 0 for i in range(7)}
         labels.update({vid(10 + i): 1 for i in range(2)})
         labels[vid(20)] = 2
         p = Partition.from_labels(labels)
-        sizes = cluster_size_distribution(p)
+        sizes = p.cluster_sizes()
         assert sizes == [7, 2, 1]
         assert sum(sizes) == p.n_vertices
 
@@ -398,6 +438,12 @@ def test_partition_csv_round_trip():
     write_partition_csv(p, buf)
     buf.seek(0)
     assert read_partition_csv(buf).assignment == p.assignment
+
+
+def test_header_only_partition_csv_is_empty():
+    p = read_partition_csv(io.StringIO("vertex,cluster\n"))
+    assert (p.n_vertices, p.n_clusters, p.cluster_sizes()) == (0, 0, [])
+    assert p.labels.dtype == np.int64
 
 
 def test_partition_csv_vertex_listed_twice_names_the_second_line():
