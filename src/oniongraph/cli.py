@@ -49,7 +49,7 @@ from .community import (
     write_partition_csv,
 )
 from .errors import DataError, OnionGraphError, ParseError, StageError, UsageError
-from .fitting import DEFAULT_MIN_TAIL, PowerLawFit, bootstrap_pvalue, fit_report
+from .fitting import DEFAULT_MIN_TAIL, bootstrap_pvalue, fit_report
 from .graphs import (
     ServiceGraph,
     build_dsg,
@@ -301,8 +301,7 @@ def _fit(degrees, min_tail: int, n_boot: int, seed: int) -> str:
     fit = fit_report(sample, min_tail=min_tail)
     report = fit.to_dict()
     if n_boot > 0:
-        pl = PowerLawFit(fit.alpha, fit.xmin, fit.ks_distance, fit.n_tail, fit.tail_fraction)
-        boot = bootstrap_pvalue(sample, pl, n_boot=n_boot, seed=seed, min_tail=min_tail)
+        boot = bootstrap_pvalue(sample, fit, n_boot=n_boot, seed=seed, min_tail=min_tail)
         report["bootstrap_p"] = boot.p_value
         report["bootstrap_replicates"] = boot.n_replicates
     return dump_json(report)
@@ -645,7 +644,8 @@ def _cmd_build(args) -> int:
             g = to_usg(g)
     if args.giant:
         g = giant_wcc(g)
-    write_graph_file(g, args.out)
+    write_graph_file(g, f"{args.out}.tmp")
+    os.replace(f"{args.out}.tmp", args.out)
     print(f"wrote {g!r} to {args.out}")
     return 0
 

@@ -44,6 +44,12 @@ _CHUNK = 1 << 14  # CSR entries converted to lists at a time
 DEFAULT_LOUVAIN_SEED = 0
 
 
+def _first_appearance(raw) -> np.ndarray:
+    """int64 labels 0..k-1 of `raw`, numbered in order of first appearance."""
+    _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse].astype(np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class Partition:
     """Sorted vertices and aligned int64 cluster labels, numbered 0..k-1 in
@@ -55,8 +61,7 @@ class Partition:
     @classmethod
     def of(cls, vertices, raw) -> "Partition":
         """Relabel `raw`, aligned with the sorted `vertices`, by first appearance."""
-        _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
-        return cls(tuple(vertices), np.argsort(np.argsort(first))[inverse].astype(np.int64))
+        return cls(tuple(vertices), _first_appearance(raw))
 
     @classmethod
     def from_labels(cls, labels: dict) -> "Partition":
@@ -285,11 +290,9 @@ def louvain(g: ServiceGraph, seed: int = DEFAULT_LOUVAIN_SEED) -> Partition:
         community, improved = _one_level(indptr, indices, data, strength.tolist(), two_m, rng)
         if not improved:
             break
-        # supernodes numbered by first appearance in vertex order
-        _, first, inverse = np.unique(community, return_index=True, return_inverse=True)
-        node_map = np.argsort(np.argsort(first))[inverse]
+        node_map = _first_appearance(community)  # supernodes, in vertex order
         rows = node_map[np.repeat(np.arange(n), np.diff(indptr))]
-        n = len(first)
+        n = int(node_map.max()) + 1
         indptr, indices, data, strength = _csr(rows * n + node_map[indices], data, n)
         node_to_current = node_map[node_to_current]
     # every level numbers by first appearance, so these labels are already dense

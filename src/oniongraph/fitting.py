@@ -412,7 +412,7 @@ def sample_lognormal(mu: float, sigma: float, xmin: int, size: int, rng) -> np.n
 
 def bootstrap_pvalue(
     sample,
-    fit: PowerLawFit,
+    fit: PowerLawFit | FitReport,
     n_boot: int = 100,
     seed: int = 0,
     min_tail: int = DEFAULT_MIN_TAIL,
@@ -424,6 +424,7 @@ def bootstrap_pvalue(
     KS distance compared with the observed one; the p-value is the share of
     replicates fitting at least as badly. Small p rejects the power law.
     Expensive (n_boot full refits), hence off by default everywhere.
+    `fit` may be a FitReport: only its alpha, xmin, n_tail and ks_distance count.
     """
     if n_boot < 1:
         raise UsageError("n_boot must be >= 1")

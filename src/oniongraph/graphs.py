@@ -402,12 +402,12 @@ def read_graph_file(path) -> ServiceGraph:
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             parts = raw.split("\t")
-            # an edge line after the header; int() ignores the weight's newline
+            # the one edge-line parse; int() ignores whitespace around the weight
             if len(parts) == 3 and directed is not None and raw[0] != "#":
                 try:
                     weights.append(int(parts[2]))
                 except ValueError:
-                    pass  # a blank line or a bad weight: the checks below report it
+                    pass  # a blank line such as "\t\t", or a bad weight: see below
                 else:
                     sources.append(same(parts[0], parts[0]))
                     targets.append(same(parts[1], parts[1]))
@@ -428,15 +428,10 @@ def read_graph_file(path) -> ServiceGraph:
                 continue
             if directed is None:
                 raise DataError(f"{path}: missing '# directed|undirected' header")
-            parts = line.split("\t")
             if len(parts) != 3:
                 raise DataError(f"{path}: expected 'src\\ttarget\\tweight' at line {line_no}")
-            try:
-                weights.append(int(parts[2]))
-            except ValueError as exc:
-                raise DataError(f"{path}: bad weight at line {line_no}: {parts[2]!r}") from exc
-            sources.append(same(parts[0], parts[0]))
-            targets.append(same(parts[1], parts[1]))
+            weight = parts[2].rstrip("\n")  # the edge branch above rejected it
+            raise DataError(f"{path}: bad weight at line {line_no}: {weight!r}")
     if directed is None:
         raise DataError(f"{path}: missing '# directed|undirected' header")
     return _from_ids(directed, sources, targets, weights, isolated)

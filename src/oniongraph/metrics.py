@@ -141,6 +141,11 @@ def assortativity(g: ServiceGraph) -> float:
         y = np.concatenate([b, a])
     if x.size < 2:
         return math.nan
+    return _pearson(x, y)
+
+
+def _pearson(x: np.ndarray, y: np.ndarray) -> float:
+    """Pearson correlation of two float64 vectors; NaN when either is constant."""
     xc = x - x.mean()
     yc = y - y.mean()
     denom = math.sqrt(float(xc @ xc) * float(yc @ yc))

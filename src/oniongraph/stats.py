@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DataError, ParseError, UsageError
 from .graphs import ServiceGraph
-from .metrics import VertexMetrics
+from .metrics import VertexMetrics, _pearson
 
 NORMAL = "Normal"
 SUSPICIOUS = "Suspicious"
@@ -138,14 +138,8 @@ def spearman(x: np.ndarray, y: np.ndarray) -> float:
         raise UsageError("length mismatch")
     if x.size < 3:
         return math.nan
-    rx = _average_ranks(np.asarray(x, dtype=np.float64))
-    ry = _average_ranks(np.asarray(y, dtype=np.float64))
-    rx -= rx.mean()
-    ry -= ry.mean()
-    denom = math.sqrt(float(rx @ rx) * float(ry @ ry))
-    if denom == 0.0:
-        return math.nan
-    return float(rx @ ry) / denom
+    return _pearson(_average_ranks(np.asarray(x, dtype=np.float64)),
+                    _average_ranks(np.asarray(y, dtype=np.float64)))
 
 
 def _write_matrix_csv(fh, rows, columns, values) -> None:

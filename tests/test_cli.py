@@ -394,6 +394,52 @@ class TestExitCodes:
         assert main([*argv, "--restrict-common"]) == 0
         assert json.loads(out.read_text()) == {"ami": None, "common_vertices": 0}
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--combine", "union"], "--combine needs --inputs graph files"),
+        ([], "either page files or --combine must be given"),
+        (["{pages}"], "--snapshot is required when files span snapshots"),
+    ])
+    def test_build_usage_error_is_1_and_writes_nothing(self, tmp_path, capsys, argv, message):
+        pages = write_tiny_pages(tmp_path)
+        with open(pages, "a") as fh:
+            fh.write(json.dumps({"snapshot": "S2", "service": "a.onion", "path": "/", "depth": 0,
+                                 "chars": 100, "links": []}) + "\n")
+        out = tmp_path / "g.tsv"
+        assert main(["build", *(a.format(pages=pages) for a in argv), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert os.listdir(tmp_path) == [pages.name]
+
+    def test_failed_build_keeps_the_earlier_graph(self, tmp_path, monkeypatch):
+        pages, out = write_tiny_pages(tmp_path), tmp_path / "g.tsv"
+        assert main(["build", str(pages), "--out", str(out)]) == 0
+        earlier = out.read_bytes()
+
+        def partial_write(g, path):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("# directed\na.onion\tb.onion\t1\n")
+            raise DataError("injected write failure")
+
+        monkeypatch.setattr(cli, "write_graph_file", partial_write)
+        assert main(["build", str(pages), "--out", str(out)]) == 2
+        assert out.read_bytes() == earlier
+
+    def test_run_rejects_a_record_of_another_snapshot(self, tmp_path, capsys):
+        pages = tmp_path / "pages_SNP1.jsonl"
+        pages.write_text(write_tiny_pages(tmp_path).read_text().replace('"S1"', '"SNP1"'))
+        out = tmp_path / "out"
+        config = write_config(tmp_path, {"snapshots": {"SNP1": str(pages)}, "out_dir": str(out)})
+        assert main(["run", "--config", str(config)]) == 0
+        earlier = tree_of(out)
+        with open(pages, "a") as fh:
+            fh.write(json.dumps({"snapshot": "SNP2", "service": "a.onion", "path": "/", "depth": 0,
+                                 "chars": 100, "links": []}) + "\n")
+        capsys.readouterr()
+        assert main(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "stage 'ingest' failed" in err
+        assert f"{pages}: records for ['SNP2'] found in the 'SNP1' file" in err
+        assert tree_of(out) == earlier
+
     def test_every_config_key_has_a_type_check(self):
         assert set(cli._CONFIG_TYPES) == {f.name for f in fields(RunConfig)}
 

@@ -352,6 +352,8 @@ def test_graph_file_missing_header(tmp_path):
         ("a.onion\tb.onion\t1\n# vertex z.onion\n", [("a.onion", "b.onion", 1)], ["z.onion"]),
         ("a.onion\tb.onion\t 3 \n", [("a.onion", "b.onion", 3)], []),
         ("a.onion\tb.onion\t4", [("a.onion", "b.onion", 4)], []),
+        ("\t\t\n", [], []),
+        ("a\tb\t 2 \n", [("a", "b", 2)], []),
     ],
 )
 def test_graph_file_reader_accepts(tmp_path, body, edges, isolated):
