@@ -71,18 +71,12 @@ def bowtie_decompose(g: ServiceGraph) -> BowTieAssignment:
     from_in = _reachable_from(a, np.flatnonzero(in_mask))
     to_out = _reachable_from(reverse, np.flatnonzero(out_mask))
 
-    labels = np.empty(n, dtype=object)
-    labels[in_lscc] = "LSCC"
-    labels[in_mask] = "IN"
-    labels[out_mask] = "OUT"
-    labels[rest & from_in & to_out] = "TUBES"
-    labels[rest & (from_in ^ to_out)] = "TENDRILS"
-    labels[rest & ~(from_in | to_out)] = "DISCONNECTED"
+    # Index into CLASSES; the masks are disjoint and listed in CLASSES order.
+    masks = [in_lscc, in_mask, out_mask, rest & from_in & to_out, rest & (from_in ^ to_out)]
+    code = np.select(masks, list(range(len(masks))), default=CLASSES.index("DISCONNECTED"))
 
-    assignment = {g.vertices[i]: str(labels[i]) for i in range(n)}
-    counts = {c: 0 for c in CLASSES}
-    for c in assignment.values():
-        counts[c] += 1
+    assignment = {v: CLASSES[c] for v, c in zip(g.vertices, code.tolist())}
+    counts = dict(zip(CLASSES, np.bincount(code, minlength=len(CLASSES)).tolist()))
     fractions = {c: counts[c] / n for c in CLASSES}
     return BowTieAssignment(
         assignment=assignment,

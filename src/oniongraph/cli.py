@@ -34,6 +34,7 @@ import shutil
 import sys
 import tempfile
 from dataclasses import dataclass, field, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -108,11 +109,20 @@ def dump_json(obj) -> str:
     return json.dumps(_sanitize(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def atomic_write_text(path, text: str) -> None:
+def _atomic_write(path, write) -> None:
+    """Call `write(tmp)`, then rename `tmp` over `path`. On any failure
+    `tmp` is removed and `path` is left as it was."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
+
+
+def atomic_write_text(path, text: str) -> None:
+    _atomic_write(path, lambda tmp: Path(tmp).write_text(text, encoding="utf-8", newline=""))
 
 
 def _read(reader, path):
@@ -644,8 +654,7 @@ def _cmd_build(args) -> int:
             g = to_usg(g)
     if args.giant:
         g = giant_wcc(g)
-    write_graph_file(g, f"{args.out}.tmp")
-    os.replace(f"{args.out}.tmp", args.out)
+    _atomic_write(args.out, functools.partial(write_graph_file, g))
     print(f"wrote {g!r} to {args.out}")
     return 0
 

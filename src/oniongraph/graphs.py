@@ -156,10 +156,12 @@ class ServiceGraph:
             if not self.directed:
                 src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
                 wgt = np.concatenate([wgt, wgt])
-            order = np.lexsort((dst, src))
-            indptr = np.zeros(self.N + 1, dtype=np.int64)
-            np.cumsum(np.bincount(src, minlength=self.N), out=indptr[1:])
-            self._succ = indptr, dst[order], wgt[order]
+            # Rows come out sorted by column. Some scipy versions narrow the
+            # index arrays to int32; widen them so that degree products
+            # (k * (k - 1)) cannot wrap.
+            a = csr_array((wgt, (src, dst)), shape=(self.N, self.N))
+            self._succ = (a.indptr.astype(np.int64, copy=False),
+                          a.indices.astype(np.int64, copy=False), a.data)
         return self._succ
 
     def adjacency(self) -> csr_array:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -235,18 +236,10 @@ def persistence_report(summaries: Mapping[tuple[str, str], ServiceSummary]) -> P
     for (snap, svc), summary in summaries.items():
         by_service.setdefault(svc, {})[snap] = summary
 
-    membership_counts: dict[tuple[str, ...], int] = {}
-    tree_persistent = 0
-    char_persistent = 0
-    for svc, per_snap in by_service.items():
-        pattern = tuple(sorted(per_snap))
-        membership_counts[pattern] = membership_counts.get(pattern, 0) + 1
-        if len(per_snap) == len(snapshots):
-            profiles = {s.tree_profile for s in per_snap.values()}
-            if len(profiles) == 1:
-                tree_persistent += 1
-            if len({s.char_count for s in per_snap.values()}) == 1:
-                char_persistent += 1
+    membership_counts = dict(Counter(tuple(sorted(p)) for p in by_service.values()))
+    in_all = [p.values() for p in by_service.values() if len(p) == len(snapshots)]
+    tree_persistent = sum(len({s.tree_profile for s in p}) == 1 for p in in_all)
+    char_persistent = sum(len({s.char_count for s in p}) == 1 for p in in_all)
 
     band_fraction: dict[str, float] = {}
     for snap in snapshots:

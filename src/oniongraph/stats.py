@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -168,15 +169,16 @@ def spearman_matrix(vm: VertexMetrics) -> CorrelationMatrix:
     names = tuple(cols)
     k = len(names)
     values = np.full((k, k), np.nan)
-    arrays = [np.asarray(cols[n], dtype=np.float64) for n in names]
+    arrays = list(cols.values())
+    finite = [np.isfinite(x) for x in arrays]
     for i in range(k):
         values[i, i] = 1.0
         for j in range(i + 1, k):
-            both = np.isfinite(arrays[i]) & np.isfinite(arrays[j])
-            if both.sum() < 3:
+            both = finite[i] & finite[j]
+            if np.count_nonzero(both) < 3:
                 continue
-            rho = spearman(arrays[i][both], arrays[j][both])
-            values[i, j] = values[j, i] = rho
+            values[i, j] = values[j, i] = _pearson(
+                _average_ranks(arrays[i][both]), _average_ranks(arrays[j][both]))
     return CorrelationMatrix(names=names, values=values)
 
 
@@ -204,12 +206,9 @@ def tag_prevalence(labels: LabelSet, g: ServiceGraph) -> Prevalence:
     present = [usable[v].cls for v in g.vertices if v in usable]
     if not present:
         raise DataError("no labeled vertices in the graph")
-    counts: dict[str, int] = {}
-    for c in present:
-        counts[c] = counts.get(c, 0) + 1
     n = len(present)
     return Prevalence(
-        fractions={c: k / n for c, k in counts.items()},
+        fractions={c: k / n for c, k in Counter(present).items()},
         coverage=n / g.N,
         n_labeled=n,
     )

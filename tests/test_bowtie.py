@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -86,7 +88,14 @@ def test_matches_reachability_oracle_on_random_digraphs(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(10, 80))
     g = random_digraph(rng, n, float(rng.uniform(0.005, 0.08)))
-    assert bowtie_decompose(g).assignment == bowtie_oracle(g)
+    result = bowtie_decompose(g)
+    oracle = bowtie_oracle(g)
+    assert result.assignment == oracle
+    tally = Counter(oracle.values())
+    assert list(result.counts.items()) == [(c, tally[c]) for c in CLASSES]
+    assert all(type(k) is int for k in result.counts.values())
+    assert list(result.fractions.items()) == [(c, tally[c] / g.N) for c in CLASSES]
+    assert result.to_dict()["n"] == g.N
 
 
 def test_lscc_contraction_consistency():

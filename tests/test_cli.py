@@ -412,7 +412,7 @@ class TestExitCodes:
     def test_failed_build_keeps_the_earlier_graph(self, tmp_path, monkeypatch):
         pages, out = write_tiny_pages(tmp_path), tmp_path / "g.tsv"
         assert main(["build", str(pages), "--out", str(out)]) == 0
-        earlier = out.read_bytes()
+        earlier, files = out.read_bytes(), sorted(os.listdir(tmp_path))
 
         def partial_write(g, path):
             with open(path, "w", encoding="utf-8") as fh:
@@ -422,6 +422,21 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "write_graph_file", partial_write)
         assert main(["build", str(pages), "--out", str(out)]) == 2
         assert out.read_bytes() == earlier
+        assert sorted(os.listdir(tmp_path)) == files
+
+    def test_failed_rename_keeps_the_earlier_output(self, tmp_path, monkeypatch):
+        pages, graph, out = write_tiny_pages(tmp_path), tmp_path / "g.tsv", tmp_path / "b.json"
+        assert main(["build", str(pages), "--out", str(graph)]) == 0
+        assert main(["bowtie", "--graph", str(graph), "--out", str(out)]) == 0
+        earlier, files = out.read_bytes(), sorted(os.listdir(tmp_path))
+
+        def failing_replace(src, dst):
+            raise PermissionError(f"injected rename failure: {src} -> {dst}")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        assert main(["bowtie", "--graph", str(graph), "--out", str(out)]) == 3
+        assert out.read_bytes() == earlier
+        assert sorted(os.listdir(tmp_path)) == files
 
     def test_run_rejects_a_record_of_another_snapshot(self, tmp_path, capsys):
         pages = tmp_path / "pages_SNP1.jsonl"

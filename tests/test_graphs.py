@@ -465,6 +465,22 @@ def random_graph(rng, directed):
 
 
 @pytest.mark.parametrize("directed", [True, False])
+def test_successors_csr_is_the_sorted_edge_list(directed):
+    g = random_graph(np.random.default_rng(4), directed)
+    src, dst, wgt = g.edge_src, g.edge_dst, g.edge_weight
+    if not directed:
+        src, dst, wgt = np.r_[src, dst], np.r_[dst, src], np.r_[wgt, wgt]
+    order = np.lexsort((dst, src))
+    indptr, indices, weights = g.successors_csr()
+    assert g.M > 0
+    assert indptr.dtype == np.int64 and indices.dtype == np.int64
+    assert indptr.tolist() == np.searchsorted(src[order], np.arange(g.N + 1)).tolist()
+    assert indices.tolist() == dst[order].tolist()
+    assert weights.tolist() == wgt[order].tolist()
+    assert all(np.all(np.diff(indices[a:b]) > 0) for a, b in zip(indptr[:-1], indptr[1:]))
+
+
+@pytest.mark.parametrize("directed", [True, False])
 @pytest.mark.parametrize("seed", range(10))
 def test_transforms_match_dict_oracles(seed, directed):
     rng = np.random.default_rng(seed)
