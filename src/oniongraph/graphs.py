@@ -9,6 +9,7 @@ sorted, so equal graphs have identical representations.
 
 from __future__ import annotations
 
+import functools
 from itertools import compress
 from typing import Iterable, Sequence
 
@@ -152,23 +153,22 @@ class ServiceGraph:
         """(indptr, indices, weights) following edge direction; for
         undirected graphs this is the symmetric adjacency."""
         if self._succ is None:
-            src, dst, wgt = self.edge_src, self.edge_dst, self.edge_weight
+            a = _weight_matrix(self.N, self.edge_src, self.edge_dst, self.edge_weight)
             if not self.directed:
-                src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-                wgt = np.concatenate([wgt, wgt])
+                a = a + a.T  # canonical edges lie above the diagonal, so none overlap
             # Rows come out sorted by column. Some scipy versions narrow the
             # index arrays to int32; widen them so that degree products
             # (k * (k - 1)) cannot wrap.
-            a = csr_array((wgt, (src, dst)), shape=(self.N, self.N))
             self._succ = (a.indptr.astype(np.int64, copy=False),
                           a.indices.astype(np.int64, copy=False), a.data)
         return self._succ
 
-    def adjacency(self) -> csr_array:
-        """0/1 sparse adjacency matrix of successors_csr (symmetric for
-        undirected graphs)."""
-        indptr, indices, _ = self.successors_csr()
-        return csr_array((np.ones(indices.size), indices, indptr), shape=(self.N, self.N))
+    def adjacency(self, weighted: bool = False) -> csr_array:
+        """Float sparse matrix of successors_csr (symmetric for undirected
+        graphs): the edge weights when `weighted`, else 1 for every edge."""
+        indptr, indices, weights = self.successors_csr()
+        data = weights.astype(np.float64) if weighted else np.ones(indices.size)
+        return csr_array((data, indices, indptr), shape=(self.N, self.N))
 
     # -- degrees --------------------------------------------------------
 
@@ -195,6 +195,11 @@ class ServiceGraph:
         return _induced(
             self.directed, self.vertices, mask, self.edge_src, self.edge_dst, self.edge_weight
         )
+
+
+def _weight_matrix(n: int, src, dst, weight) -> csr_array:
+    """n x n sparse matrix holding weight[i] at (src[i], dst[i])."""
+    return csr_array((weight, (src, dst)), shape=(n, n))
 
 
 def _lookup(vertices: tuple[str, ...], *id_lists) -> list[np.ndarray]:
@@ -279,44 +284,26 @@ def to_usg(dsg: ServiceGraph) -> ServiceGraph:
     """
     if not dsg.directed:
         raise UsageError("to_usg expects a directed graph")
-    src, dst, weight = dsg.edge_src, dsg.edge_dst, dsg.edge_weight
-    # edges are sorted by (src, dst), so their keys are sorted too; the
-    # sentinel gives a reverse key past the last edge something to miss
-    keys = np.append(src * dsg.N + dst, -1)
-    reverse_keys = dst * dsg.N + src
-    rev = np.searchsorted(keys[:-1], reverse_keys)
-    mutual = (src < dst) & (keys[rev] == reverse_keys)
-    rev = rev[mutual]
-    return _edge_induced(
-        False, dsg.vertices, src[mutual], dst[mutual], np.minimum(weight[mutual], weight[rev])
-    )
+    w = _weight_matrix(dsg.N, dsg.edge_src, dsg.edge_dst, dsg.edge_weight)
+    both = w.minimum(w.T).tocoo()  # 0, so not stored, where either way is missing
+    upper = both.row < both.col  # each pair once, smaller index first
+    return _edge_induced(False, dsg.vertices, both.row[upper], both.col[upper], both.data[upper])
 
 
-def _check_same_directedness(graphs: Sequence[ServiceGraph]) -> bool:
-    kinds = {g.directed for g in graphs}
-    if len(kinds) > 1:
+def _combine(graphs: list[ServiceGraph], reduce) -> ServiceGraph:
+    """Edge-induced graph of `reduce` (csr_array.minimum or .maximum) over
+    the inputs' weight matrices on their joint vertices (edges matched on
+    endpoint ids); a minimum is 0, so no edge, unless every input has it."""
+    if len({g.directed for g in graphs}) > 1:
         raise UsageError("cannot combine directed and undirected graphs")
-    return kinds.pop()
-
-
-def _combine(graphs: list[ServiceGraph], reduce: np.ufunc, min_count: int) -> ServiceGraph:
-    """Edge-induced graph of the edges found in at least `min_count` inputs
-    (matched on endpoint ids), each weighted by `reduce` over its inputs."""
-    directed = _check_same_directedness(graphs)
     vertices = tuple(sorted(set().union(*(g.vertices for g in graphs))))
-    n = len(vertices)
     # both vocabularies are sorted, so the renumbering keeps canonical edge order
     joints = _lookup(vertices, *(g.vertices for g in graphs))
-    keys = np.concatenate([j[g.edge_src] * n + j[g.edge_dst] for j, g in zip(joints, graphs)])
-    weights = np.concatenate([g.edge_weight for g in graphs])
-    order = np.argsort(keys, kind="stable")
-    keys, weights = keys[order], weights[order]
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    counts = np.diff(starts, append=keys.size)
-    kept = counts >= min_count
-    weights = reduce.reduceat(weights, starts)[kept] if starts.size else weights
-    src, dst = np.divmod(keys[starts][kept], max(n, 1))
-    return _edge_induced(directed, vertices, src, dst, weights)
+    combined = functools.reduce(reduce, (
+        _weight_matrix(len(vertices), j[g.edge_src], j[g.edge_dst], g.edge_weight)
+        for j, g in zip(joints, graphs)
+    )).tocoo()
+    return _edge_induced(graphs[0].directed, vertices, combined.row, combined.col, combined.data)
 
 
 def intersect(graphs: Sequence[ServiceGraph]) -> ServiceGraph:
@@ -325,7 +312,7 @@ def intersect(graphs: Sequence[ServiceGraph]) -> ServiceGraph:
     graphs = list(graphs)
     if len(graphs) < 2:
         raise UsageError("intersection needs at least 2 graphs")
-    return _combine(graphs, np.minimum, len(graphs))
+    return _combine(graphs, csr_array.minimum)
 
 
 def union(graphs: Sequence[ServiceGraph]) -> ServiceGraph:
@@ -334,7 +321,7 @@ def union(graphs: Sequence[ServiceGraph]) -> ServiceGraph:
     graphs = list(graphs)
     if not graphs:
         raise UsageError("union needs at least 1 graph")
-    return _combine(graphs, np.maximum, 1)
+    return _combine(graphs, csr_array.maximum)
 
 
 def largest_component(label: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.sparse import csgraph, csr_array
+from scipy.sparse import csgraph
 
 from .errors import DataError, ParseError, UsageError
 from .graphs import ServiceGraph
@@ -200,14 +200,6 @@ class GlobalMetrics:
 # -- rank scores -------------------------------------------------------------
 
 
-def _weighted_adjacency(g: ServiceGraph, weighted: bool) -> csr_array:
-    """Sparse weight matrix W of successors_csr (symmetric for undirected
-    graphs); every stored weight is 1 when `weighted` is off."""
-    indptr, indices, weights = g.successors_csr()
-    data = weights.astype(np.float64) if weighted else np.ones(indices.size)
-    return csr_array((data, indices, indptr), shape=(g.N, g.N))
-
-
 def pagerank(
     g: ServiceGraph,
     weighted: bool = True,
@@ -225,7 +217,7 @@ def pagerank(
     n = g.N
     if n == 0:
         raise DataError("pagerank of an empty graph")
-    p = _weighted_adjacency(g, weighted)
+    p = g.adjacency(weighted)
     out_strength = p @ np.ones(n)
     dangling = out_strength == 0.0
     p.data /= np.repeat(out_strength, np.diff(p.indptr))
@@ -252,7 +244,7 @@ def hits(
     n = g.N
     if n == 0:
         raise DataError("hits of an empty graph")
-    w = _weighted_adjacency(g, weighted)
+    w = g.adjacency(weighted)
     hub = np.full(n, 1.0 / math.sqrt(n))
     auth = np.zeros(n)
     if w.nnz == 0:

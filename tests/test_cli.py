@@ -11,7 +11,15 @@ import pytest
 from oniongraph import cli, fitting, metrics
 from oniongraph.cli import RunConfig, dump_json, main, run_pipeline, sha256_file
 from oniongraph.errors import DataError, StageError, UsageError
-from oniongraph.graphs import read_graph_file
+from oniongraph.graphs import (
+    build_dsg,
+    giant_wcc,
+    intersect,
+    read_graph_file,
+    to_usg,
+    union,
+)
+from oniongraph.records import parse_pages_file
 from oniongraph.synth import CorpusSpec, generate_corpus
 
 
@@ -154,6 +162,30 @@ class TestSubcommands:
         assert main(["fit", "--degrees-csv", str(vc), "--column", "out_degree",
                      "--min-tail", "20", "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("argv,expected", [
+        pytest.param(["{pages}", "--snapshot", "{snap}", "--kind", "usg"],
+                     lambda dsgs: to_usg(dsgs[0]), id="usg"),
+        pytest.param(["--combine", "intersection", "--inputs", "{dsgs}"], intersect,
+                     id="intersection"),
+        pytest.param(["--combine", "union", "--inputs", "{dsgs}"], union, id="union"),
+        pytest.param(["--combine", "union", "--giant", "--inputs", "{dsgs}"],
+                     lambda dsgs: giant_wcc(union(dsgs)), id="union-giant"),
+    ])
+    def test_build_modes_match_the_library(self, corpus_dir, tmp_path, argv, expected):
+        root, paths, corpus = corpus_dir
+        snaps = corpus.spec.snapshots
+        dsgs, inputs = [], []
+        for snap in snaps:
+            dsgs.append(build_dsg(parse_pages_file(paths[snap]), snap))
+            inputs.append(str(tmp_path / f"dsg_{snap}.tsv"))
+            assert main(["build", str(paths[snap]), "--out", inputs[-1]]) == 0
+            assert read_graph_file(inputs[-1]) == dsgs[-1]
+        args = {"{pages}": [str(paths[snaps[0]])], "{snap}": [snaps[0]], "{dsgs}": inputs}
+        out = tmp_path / "built.tsv"
+        assert main(["build", *(a for arg in argv for a in args.get(arg, [arg])),
+                     "--out", str(out)]) == 0
+        assert read_graph_file(out) == expected(dsgs)
+
     def test_metrics_of_one_edge_graph(self, tmp_path):
         graph = tmp_path / "pair.tsv"
         graph.write_text("# directed\na.onion\tb.onion\t1\n")
@@ -282,6 +314,40 @@ class TestExitCodes:
         assert main(["run", "--config", str(path), *argv]) == 1
         assert "must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv,config,code,message", [
+        (["--set", "seed_fit"], {}, 1, "--set expects key=value"),
+        (["--set", "bogus=1"], {}, 1, "unknown config key 'bogus'"),
+        ([], "{not json", 2, "invalid JSON config"),
+        ([], "[]", 2, "config must be a JSON object"),
+        ([], {"out_dir": None}, 1, "config is missing ['out_dir']"),
+        ([], {"snapshots": {"S1": "{missing}"}}, 2, "missing page file"),
+        ([], {"labels": "{missing}"}, 2, "missing label file"),
+    ])
+    def test_bad_run_input_is_reported_before_any_output(self, tmp_path, capsys, argv, config,
+                                                          code, message):
+        pages, missing = write_tiny_pages(tmp_path), str(tmp_path / "missing")
+        cfg = {"snapshots": {"S1": str(pages)}, "out_dir": str(tmp_path / "out")}
+        if isinstance(config, dict):
+            cfg.update(config)
+            config = json.dumps({key: value for key, value in cfg.items() if value is not None})
+        path = tmp_path / "config.json"
+        path.write_text(config.replace("{missing}", missing))
+        assert main(["run", "--config", str(path), *argv]) == code
+        assert message in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["config.json", pages.name]
+
+    @pytest.mark.parametrize("argv,message", [
+        ([], "either --graph or --degrees-csv is required"),
+        (["--degrees-csv", "{degrees}"], "column 'degree' not found"),
+    ])
+    def test_fit_without_degrees_is_1(self, tmp_path, capsys, argv, message):
+        degrees = tmp_path / "degrees.csv"
+        degrees.write_text("in_degree\n3\n")
+        out = tmp_path / "fit.json"
+        assert main(["fit", *(a.format(degrees=degrees) for a in argv), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command,flag,text", [
         ("metrics", "--component", "largest"),

@@ -126,6 +126,12 @@ class TestLouvain:
         with pytest.raises(DataError):
             louvain(ServiceGraph.from_edges(False, []))
 
+    def test_edgeless_graph_gives_singletons(self):
+        g = ServiceGraph.from_edges(False, [], isolated_vertices=[vid(i) for i in range(4)])
+        part = louvain(g)
+        assert part.labels.dtype == np.int64
+        assert part.labels.tolist() == [0, 1, 2, 3]
+
     @pytest.mark.parametrize("kind,seed,sha256", [
         ("dsg", 0, "7070a1fc201db140363e8d2a99ee5ec900546e57e76d5718bf269917d1236533"),
         ("dsg", 1, "64cb0e1294423a46119e1442fb7c275fe0f3d99491500694982dee06361c52f7"),
@@ -263,6 +269,11 @@ class TestModularity:
         q = modularity(g, planted)
         assert -0.5 <= q <= 1.0
 
+    def test_edgeless_graph_rejected(self):
+        g = ServiceGraph.from_edges(True, [], isolated_vertices=[vid(0), vid(1)])
+        with pytest.raises(DataError, match="^modularity of an edgeless graph$"):
+            modularity(g, Partition.from_labels({vid(0): 0, vid(1): 1}))
+
     def test_uncovered_vertex_rejected(self):
         g = ug([("a.onion", "b.onion", 1)])
         with pytest.raises(DataError, match="misses"):
@@ -306,6 +317,16 @@ class TestAmi:
 
     def test_trivial_partitions_equal(self):
         p = Partition.from_labels({vid(0): 0, vid(1): 0})
+        assert ami(p, p) == 1.0
+
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_all_singleton_partitions_of_few_vertices(self, n):
+        # H = EMI = log n, so the denominator H - EMI is float noise below the
+        # 1e-15 cut-off (at 50 vertices it is 2.8e-14 and the cut-off misses)
+        p = Partition.from_labels({vid(i): i for i in range(n)})
+        table = community._contingency(p.labels, p.labels)
+        denom = community._entropy(table.sum(axis=1), n) - community._expected_mi(table, n)
+        assert abs(denom) < 1e-15
         assert ami(p, p) == 1.0
 
     def test_common_restriction(self):
