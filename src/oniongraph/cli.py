@@ -429,27 +429,32 @@ def _outcome(future) -> _Analysis:
         return _Analysis(stage=POOL_STAGE, error=exc)
 
 
-def _analyse_all(task, names: list[str]) -> dict[str, _Analysis]:
-    """Name -> `task(name)` for each of `names`, started in the order given.
+def _analyse_all(task, names: list[str], collect) -> None:
+    """Call `collect(name, task(name))` for each of `names` as its outcome
+    arrives; the tasks start in the order given.
 
     The tasks run in a pool of forked worker processes, one per usable CPU
-    and at most one per name; with one worker, or where `fork` is not
-    available, they run one after another in this process. Forked workers
-    inherit `task` and the graphs it holds without pickling them; the
-    pipeline starts no thread of its own before the fork.
+    and at most one per name, and their outcomes arrive as they complete;
+    with one worker, or where `fork` is not available, they run one after
+    another in this process. Forked workers inherit `task` and the graphs it
+    holds without pickling them; the pipeline starts no thread of its own
+    before the fork.
     """
     # imported here, not with the module: at module level these imports
     # raised the subcommands' peak memory by 2-3 MiB (`stages-6000` chain)
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import ProcessPoolExecutor, as_completed
 
     workers = min(len(names), _usable_cpus())
     if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-        return {name: task(name) for name in names}
+        for name in names:
+            collect(name, task(name))
+        return
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                              initializer=_set_pool_task, initargs=(task,)) as pool:
-        futures = {name: pool.submit(_call_pool_task, name) for name in names}
-        return {name: _outcome(future) for name, future in futures.items()}
+        futures = {pool.submit(_call_pool_task, name): name for name in names}
+        for future in as_completed(futures):
+            collect(futures[future], _outcome(future))
 
 
 # -- pipeline ----------------------------------------------------------------------
@@ -511,12 +516,14 @@ def run_pipeline(config: RunConfig) -> dict:
         os.makedirs(out_dir, exist_ok=True)
         staging = tempfile.mkdtemp(prefix=".staging-", dir=out_dir)
 
-        # ingest ------------------------------------------------------------
-        stage = "ingest"
+        # ingest, and each snapshot's DSG -----------------------------------------
+        # a snapshot's page records are dropped once its summaries and DSG
+        # exist, so no record is alive when the per-graph workers fork
         snap_ids = sorted(config.snapshots)
-        pages_by_snap = {}
         summaries = {}
+        dsgs = {}
         for snap in snap_ids:
+            stage = "ingest"
             pages = parse_pages_file(config.snapshots[snap])
             mismatched = {p.snapshot_id for p in pages} - {snap}
             if mismatched:
@@ -524,8 +531,11 @@ def run_pipeline(config: RunConfig) -> dict:
                     f"{config.snapshots[snap]}: records for {sorted(mismatched)} "
                     f"found in the {snap!r} file"
                 )
-            pages_by_snap[snap] = pages
             summaries.update(summarize_services(pages))
+            stage = "graphs"
+            dsgs[snap] = build_dsg(pages, snap)
+            del pages
+        stage = "ingest"
         for fname, text in _ingest(summaries, persistence=len(snap_ids) >= 2).items():
             write(f"ingest/{fname}", text)
         if len(snap_ids) < 2:
@@ -536,12 +546,12 @@ def run_pipeline(config: RunConfig) -> dict:
             for snap in snap_ids
         }
         mean_lcr = _mean_lcratio((svc, s.lcratio) for (_, svc), s in summaries.items())
+        del summaries
 
         # graphs --------------------------------------------------------------
         stage = "graphs"
         graphs: dict[str, ServiceGraph] = {}
         lcr_for: dict[str, dict[str, float]] = {}
-        dsgs = {snap: build_dsg(pages_by_snap[snap], snap) for snap in snap_ids}
         usgs = {snap: to_usg(dsgs[snap]) for snap in snap_ids}
         for directedness, prefix, per_snap in (("directed", "dsg", dsgs),
                                                ("undirected", "usg", usgs)):
@@ -564,8 +574,17 @@ def run_pipeline(config: RunConfig) -> dict:
 
         # metrics, fit, communities, bowtie, stats: one task per graph ----------
         stage = POOL_STAGE  # until every outcome is in, a failure is the pool's
+        analyses: dict[str, _Analysis] = {}
+
+        def collect(name: str, outcome: _Analysis) -> None:
+            """Stage the outcome's artifacts now and keep the rest of it."""
+            for rel, text in outcome.texts.items():
+                write(rel, text)
+            outcome.texts.clear()
+            analyses[name] = outcome
+
         task = functools.partial(_analyse_graph, config, labels, graphs, lcr_for)
-        analyses = _analyse_all(task, sorted(graphs, key=lambda name: (-graphs[name].M, name)))
+        _analyse_all(task, sorted(graphs, key=lambda name: (-graphs[name].M, name)), collect)
         names = sorted(graphs)
         # the failure the stage-major order meets first: earliest stage, then graph name
         failed = sorted((_FAILURE_ORDER.index(analyses[name].stage), name)
@@ -575,8 +594,6 @@ def run_pipeline(config: RunConfig) -> dict:
             stage = first.stage
             raise first.error
         for name in names:
-            for rel, text in analyses[name].texts.items():
-                write(rel, text)
             skipped.extend(analyses[name].skipped)
         if labels is None:
             skipped.append({"stage": "stats.labels", "reason": "no labels configured"})

@@ -29,11 +29,13 @@ are the row scan's floats and the partitions are the same as a row scan's.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import random
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_array
 from scipy.special import gammaln
 
 from .errors import DataError, ParseError
@@ -302,10 +304,13 @@ def louvain(g: ServiceGraph, seed: int = DEFAULT_LOUVAIN_SEED) -> Partition:
 # -- adjusted mutual information ----------------------------------------------
 
 
-def _contingency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Counts of each (a, b) label pair of two aligned dense label arrays."""
-    r, c = int(a.max()) + 1, int(b.max()) + 1
-    return np.bincount(a * c + b, minlength=r * c).reshape(r, c)
+def _contingency(a: np.ndarray, b: np.ndarray) -> coo_array:
+    """Counts of each (a, b) label pair of two aligned dense label arrays, as
+    a sparse table holding its nonzero cells in row-major order (the sorted
+    keys a * c + b), so its size is linear in the vertex count."""
+    c = int(b.max()) + 1
+    keys, counts = np.unique(a * c + b, return_counts=True)
+    return coo_array((counts, np.divmod(keys, c)), shape=(int(a.max()) + 1, c))
 
 
 def _entropy(counts: np.ndarray, n: int) -> float:
@@ -313,17 +318,19 @@ def _entropy(counts: np.ndarray, n: int) -> float:
     return float(-(p * np.log(p)).sum())
 
 
-def _mutual_information(table: np.ndarray, n: int) -> float:
-    nz = table > 0
-    pij = table[nz] / n
+def _mutual_information(table: coo_array, n: int) -> float:
+    """MI of a sparse table whose entries are its nonzero cells; summed in
+    the entries' order."""
+    pij = table.data / n
     pi = table.sum(axis=1) / n
     pj = table.sum(axis=0) / n
-    outer = np.outer(pi, pj)[nz]
+    outer = pi[table.row] * pj[table.col]
     return float((pij * np.log(pij / outer)).sum())
 
 
-def _expected_mi(table: np.ndarray, n: int) -> float:
-    """Exact expected MI under the permutation (hypergeometric) model.
+def _expected_mi(table: coo_array | np.ndarray, n: int) -> float:
+    """Exact expected MI under the permutation (hypergeometric) model. Only
+    the marginals of `table` are read, so it may be dense or sparse.
 
     A cell's expected share depends only on its row sum a and column sum b,
     so each distinct (a, b) pair is evaluated once, weighted by the number
@@ -377,10 +384,14 @@ def ami_on_common(p1: Partition, p2: Partition) -> tuple[float, int]:
     Score is NaN when fewer than 2 vertices are shared. Both restrictions are
     relabelled by first appearance: the table's order fixes the AMI's bits.
     """
-    common, in_1, in_2 = np.intersect1d(p1.vertices, p2.vertices, assume_unique=True,
-                                        return_indices=True)
+    # both vertex tuples are sorted, so their shared members come in the same
+    # order on each side: a membership mask per side restricts both
+    in_1 = np.fromiter(map(frozenset(p2.vertices).__contains__, p1.vertices), bool,
+                       p1.n_vertices)
+    in_2 = np.fromiter(map(frozenset(p1.vertices).__contains__, p2.vertices), bool,
+                       p2.n_vertices)
+    common = tuple(itertools.compress(p1.vertices, in_1))
     if len(common) < 2:
         return math.nan, len(common)
-    common = tuple(common.tolist())
     score = ami(Partition.of(common, p1.labels[in_1]), Partition.of(common, p2.labels[in_2]))
     return score, len(common)

@@ -77,10 +77,24 @@ def _distance_blocks(g: ServiceGraph):
 def _closed_pairs(g: ServiceGraph) -> np.ndarray:
     """Per vertex, the ordered pairs of distinct (out-)neighbors linked in at
     least one direction: rowsum((A S) * A) with A the 0/1 adjacency and S its
-    0/1 symmetrization, so a reciprocated pair still counts once."""
+    0/1 symmetrization, so a reciprocated pair still counts once.
+
+    A S is formed over consecutive row blocks of at most _BLOCK_ENTRIES
+    entries (or one row): row u of A S has at most (A deg_S)[u] entries, so
+    a vertex linked with k others costs k entries per neighbor's row, never
+    the k^2 of the whole product at once."""
     a = g.adjacency()
     s = (a + a.T > 0).astype(np.float64) if g.directed else a
-    return np.asarray((a @ s).multiply(a).sum(axis=1), dtype=np.int64).ravel()
+    bound = np.cumsum(a @ s.sum(axis=1))  # entries of A S in rows 0..u, at most
+    closed = np.zeros(g.N, dtype=np.int64)
+    lo = 0
+    while lo < g.N:
+        start = bound[lo - 1] if lo else 0.0
+        hi = max(lo + 1, int(np.searchsorted(bound, start + _BLOCK_ENTRIES, side="right")))
+        block = a[lo:hi]
+        closed[lo:hi] = (block @ s).multiply(block).sum(axis=1)
+        lo = hi
+    return closed
 
 
 def _brandes_accumulate(dist, esrc, edst, source, n, betweenness) -> None:

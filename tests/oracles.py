@@ -17,6 +17,7 @@ import random
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
+from scipy.sparse import coo_array
 from scipy.special import zeta
 
 from oniongraph import community
@@ -162,6 +163,17 @@ def local_transitivity_oracle(g):
                     count += 1
         tra[v] = count / (k * (k - 1))
     return tra
+
+
+def closed_pairs_oracle(g):
+    """Per vertex, the ordered pairs of distinct (out-)neighbors linked in
+    either direction, counted pair by pair."""
+    a = adjacency_bool(g)
+    closed = np.zeros(g.N, dtype=np.int64)
+    for v in range(g.N):
+        nbrs = np.flatnonzero(a[v])
+        closed[v] = sum(1 for u in nbrs for w in nbrs if u != w and (a[u, w] or a[w, u]))
+    return closed
 
 
 def global_transitivity_oracle(g):
@@ -420,7 +432,8 @@ def ami_on_common_oracle(labels1, labels2):
     n = len(vertices)
     if table.shape == (1, 1):
         return 1.0, n
-    mi = community._mutual_information(table, n)
+    # the MI kernel reads the nonzero cells of a sparse table, in row-major order
+    mi = community._mutual_information(coo_array(table), n)
     emi = community._expected_mi(table, n)
     h1 = community._entropy(table.sum(axis=1), n)
     h2 = community._entropy(table.sum(axis=0), n)
