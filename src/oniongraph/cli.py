@@ -49,7 +49,7 @@ from .community import (
     read_partition_csv,
     write_partition_csv,
 )
-from .errors import DataError, OnionGraphError, ParseError, StageError, UsageError
+from .errors import DataError, OnionGraphError, ParseError, StageError, UsageError, open_input
 from .fitting import DEFAULT_MIN_TAIL, bootstrap_pvalue, fit_report
 from .graphs import (
     ServiceGraph,
@@ -126,7 +126,7 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def _read(reader, path):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_input(path) as fh:
         return reader(fh)
 
 
@@ -252,7 +252,7 @@ def _check_out_dir(out_dir: str) -> None:
         listed = {"manifest.json"} | {a["path"] for a in manifest["artifacts"]}
         if not isinstance(manifest["config"], dict):
             raise TypeError("config is not an object")
-    except (OSError, ValueError, LookupError, TypeError) as exc:
+    except (OSError, DataError, ValueError, LookupError, TypeError) as exc:
         raise UsageError(f"{refusal} (no run manifest.json: {exc})") from exc
     for root, dirnames, filenames in os.walk(out_dir):
         for entry in filenames + [d for d in dirnames if os.path.islink(os.path.join(root, d))]:
@@ -680,12 +680,14 @@ def _csv_numbers(path, column: str, key: str) -> list[tuple[str, float]] | None:
     """(`key` cell, `column` cell as a float) of each row of CSV file `path`
     whose `column` cell is not empty, or None if the file lacks either column.
     A cell that is not a number is a ParseError naming the file and the line."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_input(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if not {column, key} <= set(reader.fieldnames or ()):
             return None
         try:
             return [(row[key], float(row[column])) for row in reader if row[column] != ""]
+        except UnicodeDecodeError:
+            raise  # a byte of the file, not a cell: the opener names its line
         except (TypeError, ValueError):  # TypeError: None, a short row's missing cell
             raise ParseError(f"{column} is not a number", reader.line_num, path) from None
 

@@ -35,7 +35,6 @@ import random
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_array
 from scipy.special import gammaln
 
 from .errors import DataError, ParseError
@@ -304,41 +303,33 @@ def louvain(g: ServiceGraph, seed: int = DEFAULT_LOUVAIN_SEED) -> Partition:
 # -- adjusted mutual information ----------------------------------------------
 
 
-def _contingency(a: np.ndarray, b: np.ndarray) -> coo_array:
-    """Counts of each (a, b) label pair of two aligned dense label arrays, as
-    a sparse table holding its nonzero cells in row-major order (the sorted
-    keys a * c + b), so its size is linear in the vertex count."""
-    c = int(b.max()) + 1
-    keys, counts = np.unique(a * c + b, return_counts=True)
-    return coo_array((counts, np.divmod(keys, c)), shape=(int(a.max()) + 1, c))
-
-
 def _entropy(counts: np.ndarray, n: int) -> float:
     p = counts[counts > 0] / n
     return float(-(p * np.log(p)).sum())
 
 
-def _mutual_information(table: coo_array, n: int) -> float:
-    """MI of a sparse table whose entries are its nonzero cells; summed in
-    the entries' order."""
-    pij = table.data / n
-    pi = table.sum(axis=1) / n
-    pj = table.sum(axis=0) / n
-    outer = pi[table.row] * pj[table.col]
+def _mutual_information(a: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                        n: int) -> float:
+    """MI of aligned dense label arrays with label counts `rows` and `cols`, over
+    the nonzero cells of their table only, summed in row-major order."""
+    keys, counts = np.unique(a * cols.size + b, return_counts=True)
+    i, j = np.divmod(keys, cols.size)
+    pij = counts / n
+    outer = (rows / n)[i] * (cols / n)[j]
     return float((pij * np.log(pij / outer)).sum())
 
 
-def _expected_mi(table: coo_array | np.ndarray, n: int) -> float:
-    """Exact expected MI under the permutation (hypergeometric) model. Only
-    the marginals of `table` are read, so it may be dense or sparse.
+def _expected_mi(rows: np.ndarray, cols: np.ndarray, n: int) -> float:
+    """Exact expected MI under the permutation (hypergeometric) model of a
+    table whose row and column sums are `rows` and `cols`.
 
     A cell's expected share depends only on its row sum a and column sum b,
     so each distinct (a, b) pair is evaluated once, weighted by the number
     of cells that share it, with every k term of every pair in one
     flattened expression.
     """
-    a, a_cells = np.unique(table.sum(axis=1), return_counts=True)
-    b, b_cells = np.unique(table.sum(axis=0), return_counts=True)
+    a, a_cells = np.unique(rows, return_counts=True)
+    b, b_cells = np.unique(cols, return_counts=True)
     cells = np.outer(a_cells, b_cells).ravel()
     a, b = np.repeat(a, b.size), np.tile(b, a.size)
     log_fact = gammaln(np.arange(1.0, n + 2))  # log_fact[x] = log(x!)
@@ -365,13 +356,13 @@ def ami(p1: Partition, p2: Partition) -> float:
     n = p1.n_vertices
     if n == 0:
         raise DataError("empty partitions")
-    table = _contingency(p1.labels, p2.labels)
-    if table.shape == (1, 1):
+    rows, cols = np.bincount(p1.labels), np.bincount(p2.labels)
+    if rows.size == cols.size == 1:
         return 1.0  # both trivial: identical by definition
-    mi = _mutual_information(table, n)
-    emi = _expected_mi(table, n)
-    h1 = _entropy(table.sum(axis=1), n)
-    h2 = _entropy(table.sum(axis=0), n)
+    mi = _mutual_information(p1.labels, p2.labels, rows, cols, n)
+    emi = _expected_mi(rows, cols, n)
+    h1 = _entropy(rows, n)
+    h2 = _entropy(cols, n)
     denom = 0.5 * (h1 + h2) - emi
     if abs(denom) < 1e-15:
         return 1.0 if abs(mi - emi) < 1e-15 else 0.0

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.sparse import csgraph, csr_array
 
-from .errors import DataError, UsageError
+from .errors import DataError, UsageError, open_input
 from .records import PageRecord
 
 
@@ -388,7 +388,7 @@ def read_graph_file(path) -> ServiceGraph:
     weights: list[int] = []
     ids: dict[str, str] = {}  # one str per distinct id, as in records.iter_pages
     same = ids.setdefault
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_input(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             parts = raw.split("\t")
             # the one edge-line parse; int() ignores whitespace around the weight

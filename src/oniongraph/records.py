@@ -29,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .errors import DataError, ParseError
+from .errors import DataError, ParseError, open_input
 
 # LCRatio band for directory-like services: one link every 200 chars up to
 # one link every 20 chars (closed bounds).
@@ -172,8 +172,8 @@ def iter_pages(lines: Iterable[str], source=None) -> Iterator[PageRecord]:
 
 
 def iter_pages_file(path) -> Iterator[PageRecord]:
-    """`iter_pages` over a file; parse errors name the file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """`iter_pages` over a file; parse and decode errors name the file."""
+    with open_input(path) as fh:
         yield from iter_pages(fh, source=path)
 
 

@@ -17,7 +17,6 @@ import random
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
-from scipy.sparse import coo_array
 from scipy.special import zeta
 
 from oniongraph import community
@@ -432,9 +431,9 @@ def ami_on_common_oracle(labels1, labels2):
     n = len(vertices)
     if table.shape == (1, 1):
         return 1.0, n
-    # the MI kernel reads the nonzero cells of a sparse table, in row-major order
-    mi = community._mutual_information(coo_array(table), n)
-    emi = community._expected_mi(table, n)
+    # the kernels take the label arrays and the table's marginals
+    mi = community._mutual_information(a, b, table.sum(axis=1), table.sum(axis=0), n)
+    emi = community._expected_mi(table.sum(axis=1), table.sum(axis=0), n)
     h1 = community._entropy(table.sum(axis=1), n)
     h2 = community._entropy(table.sum(axis=0), n)
     denom = 0.5 * (h1 + h2) - emi

@@ -2,6 +2,7 @@ import concurrent.futures
 import json
 import multiprocessing
 import os
+import random
 import stat
 from dataclasses import fields
 
@@ -319,6 +320,7 @@ class TestExitCodes:
         (["--set", "seed_fit"], {}, 1, "--set expects key=value"),
         (["--set", "bogus=1"], {}, 1, "unknown config key 'bogus'"),
         ([], "{not json", 2, "invalid JSON config"),
+        ([], "\udcff{}", 2, "config.json: line 1: byte ff is not UTF-8 (invalid start byte)"),
         ([], "[]", 2, "config must be a JSON object"),
         ([], {"out_dir": None}, 1, "config is missing ['out_dir']"),
         ([], {"snapshots": {"S1": "{missing}"}}, 2, "missing page file"),
@@ -332,7 +334,8 @@ class TestExitCodes:
             cfg.update(config)
             config = json.dumps({key: value for key, value in cfg.items() if value is not None})
         path = tmp_path / "config.json"
-        path.write_text(config.replace("{missing}", missing))
+        # "\udcXX" stands for the byte 0xXX, which does not decode
+        path.write_bytes(config.replace("{missing}", missing).encode("utf-8", "surrogateescape"))
         assert main(["run", "--config", str(path), *argv]) == code
         assert message in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["config.json", pages.name]
@@ -437,12 +440,20 @@ class TestExitCodes:
                      "a.onion,S1,0,10,1,zz\n", 2, id="summaries-lcratio"),
         pytest.param(METRICS_ARGV, "service,snapshot,tree_height,chars,links\n"
                      "a.onion,S1,0,10,1\n", None, id="summaries-no-lcratio"),
+        # "\udcXX" stands for the byte 0xXX, which does not decode
+        pytest.param(["compare", "--a", "{bad}", "--b", "{partition}", "--out", "{out}"],
+                     "\udcffvertex,cluster\na.onion,0\n", 1, id="partition-first-byte"),
+        pytest.param(["fit", "--degrees-csv", "{bad}", "--out", "{out}"],
+                     "degree\n3\n\udce9\n", 3, id="degree-byte"),
+        pytest.param(METRICS_ARGV, "service,snapshot,tree_height,chars,links,lcratio\n"
+                     + "a.onion,S1,0,10,1,0.1\n" * 600 + "b\udcff.onion,S1,0,10,1,0.1\n", 602,
+                     id="summaries-byte-past-8-KiB"),
     ])
     def test_malformed_table_is_2_and_names_the_file(self, tmp_path, capsys, argv, text, line):
         files = {"bad": tmp_path / "bad.csv", "partition": tmp_path / "part.csv",
                  "graph": tmp_path / "g.tsv", "out": tmp_path / "out.json",
                  "vertices": tmp_path / "v.csv"}
-        files["bad"].write_text(text)
+        files["bad"].write_bytes(text.encode("utf-8", "surrogateescape"))
         files["partition"].write_text("vertex,cluster\na.onion,0\n")
         files["graph"].write_text("# directed\na.onion\tb.onion\t1\n")
         assert main([arg.format(**files) for arg in argv]) == 2
@@ -523,6 +534,80 @@ class TestExitCodes:
 
     def test_every_config_key_has_a_type_check(self):
         assert set(cli._CONFIG_TYPES) == {f.name for f in fields(RunConfig)}
+
+
+# -- byte mutants of every input ---------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(corpus_dir, tmp_path_factory):
+    """kind -> (a valid file of that kind, the argv that reads it as {x})."""
+    root, paths, corpus = corpus_dir
+    d = tmp_path_factory.mktemp("inputs")
+    tiny = write_tiny_pages(d)
+    for argv in (["build", paths["SNP1"], "--out", d / "g.tsv"],
+                 ["build", tiny, "--out", d / "tiny.tsv"],
+                 ["communities", "--graph", d / "g.tsv", "--out", d / "part.csv"],
+                 ["metrics", "--graph", d / "g.tsv", "--global-json", d / "global.json",
+                  "--vertex-csv", d / "v.csv"],
+                 ["ingest", paths["SNP1"], "--out-dir", d / "ingest"]):
+        assert main([str(arg) for arg in argv]) == 0
+    # compact, so that few mutants keep it valid, and with paths relative to
+    # the test's directory, so that its bytes, and so its mutants, are the
+    # same on every machine and a mutated out_dir stays inside that directory
+    (d / "config.json").write_text(json.dumps({"snapshots": {"S1": tiny.name}, "out_dir": "out"},
+                                              separators=(",", ":")))
+    return {
+        "pages": (paths["SNP1"], ["ingest", "{x}", "--out-dir", "{out}"]),
+        "graph": (d / "g.tsv", ["bowtie", "--graph", "{x}", "--out", "{out}"]),
+        "labels": (paths["labels"], ["stats", "prevalence", "--labels", "{x}",
+                                     "--graph", d / "g.tsv", "--out", "{out}"]),
+        "partition": (d / "part.csv", ["compare", "--a", "{x}", "--b", d / "part.csv",
+                                       "--restrict-common", "--out", "{out}"]),
+        "vertex-csv": (d / "v.csv", ["stats", "corr", "--vertex-csv", "{x}", "--out", "{out}"]),
+        "summaries": (d / "ingest" / "summaries.csv",
+                      ["metrics", "--graph", d / "tiny.tsv", "--summaries", "{x}",
+                       "--global-json", "{out}", "--vertex-csv", "{out}.csv"]),
+        "config": (d / "config.json", ["run", "--config", "{x}"]),
+    }
+
+
+@pytest.mark.parametrize("kind", ["pages", "graph", "labels", "partition", "vertex-csv",
+                                  "summaries", "config"])
+def test_byte_mutants_are_never_internal_errors(valid_inputs, tmp_path, monkeypatch, capsys,
+                                                kind):
+    """45 mutants of each input, each with 1-3 random byte edits: none may
+    exit 3, and an exit 2 names the mutated file (a config's, or a file the
+    config names)."""
+    monkeypatch.chdir(tmp_path)
+    write_tiny_pages(tmp_path)  # the page file the config names
+    source, argv = valid_inputs[kind]
+    with open(source, "rb") as fh:
+        good = fh.read()
+    mutant = tmp_path / f"mutant{os.path.splitext(source)[1]}"
+    argv = [str(arg).format(x=mutant, out=tmp_path / "out") for arg in argv]
+    rng = random.Random(kind)
+    failures, undecodable = [], 0
+    for _ in range(45):
+        data = bytearray(good)
+        for _ in range(rng.randint(1, 3)):
+            at, edit = rng.randrange(len(data) + 1), rng.choice("ird")
+            if edit == "i" or at == len(data):
+                data.insert(at, rng.randrange(256))
+            elif edit == "r":
+                data[at] = rng.randrange(256)
+            else:
+                del data[at]
+        mutant.write_bytes(bytes(data))
+        code = main(argv)
+        err = capsys.readouterr().err
+        undecodable += "is not UTF-8" in err
+        named = str(mutant) in err or kind == "config" and (
+            "s1.jsonl" in err or "missing page file" in err)
+        if code not in (0, 1, 2) or code == 2 and not named:
+            failures.append((code, err))
+    assert failures == []
+    assert undecodable >= 10
 
 
 class TestRunPipeline:
@@ -769,7 +854,7 @@ class TestOutputDirectory:
     @pytest.mark.parametrize("occupant", [
         "regular-file", "dangling-symlink", "foreign-files", "foreign-manifest",
         "run-and-foreign-file", "run-and-git", "run-and-file-in-stage-dir",
-        "run-and-leftover-staging",
+        "run-and-leftover-staging", "undecodable-manifest",
     ])
     def test_unowned_out_dir_is_refused(self, corpus_dir, tmp_path, occupant):
         root, paths, corpus = corpus_dir
@@ -788,6 +873,10 @@ class TestOutputDirectory:
                            "run-and-leftover-staging": ".staging-x/manifest.json"}[occupant]
             extra.parent.mkdir(exist_ok=True)
             extra.write_text("not a run\n")
+        elif occupant == "undecodable-manifest":
+            # the manifest of an empty run, but for one byte that is not UTF-8
+            out.mkdir()
+            (out / "manifest.json").write_bytes(b'{"artifacts": [], "config": {"\xff": 1}}\n')
         else:
             out.mkdir()
             (out / "index.html").write_text("not a run\n")

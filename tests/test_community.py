@@ -324,8 +324,8 @@ class TestAmi:
         # H = EMI = log n, so the denominator H - EMI is float noise below the
         # 1e-15 cut-off (at 50 vertices it is 2.8e-14 and the cut-off misses)
         p = Partition.from_labels({vid(i): i for i in range(n)})
-        table = community._contingency(p.labels, p.labels)
-        denom = community._entropy(table.sum(axis=1), n) - community._expected_mi(table, n)
+        counts = np.bincount(p.labels)
+        denom = community._entropy(counts, n) - community._expected_mi(counts, counts, n)
         assert abs(denom) < 1e-15
         assert ami(p, p) == 1.0
 
@@ -404,7 +404,8 @@ class TestExpectedMi:
     ])
     def test_matches_permutation_enumeration(self, row_sums, col_sums):
         n = sum(row_sums)
-        emi = community._expected_mi(table_with_marginals(row_sums, col_sums), n)
+        table = table_with_marginals(row_sums, col_sums)
+        emi = community._expected_mi(table.sum(axis=1), table.sum(axis=0), n)
         oracle = expected_mi_oracle(row_sums, col_sums)
         assert emi == pytest.approx(oracle, rel=1e-9, abs=1e-12)
         assert expected_mi_sum_oracle(row_sums, col_sums) == pytest.approx(
@@ -423,7 +424,7 @@ class TestExpectedMi:
         np.add.at(table, (x, y), 1)
         table = table[table.sum(axis=1) > 0][:, table.sum(axis=0) > 0]
         rows, cols = table.sum(axis=1).tolist(), table.sum(axis=0).tolist()
-        assert community._expected_mi(table, n) == pytest.approx(
+        assert community._expected_mi(table.sum(axis=1), table.sum(axis=0), n) == pytest.approx(
             expected_mi_sum_oracle(rows, cols), rel=1e-9, abs=1e-12
         )
 
@@ -431,7 +432,7 @@ class TestExpectedMi:
     def test_trivial_side_is_exactly_zero(self, shape):
         rng = np.random.default_rng(1)
         table = rng.integers(1, 9, size=shape)
-        assert community._expected_mi(table, int(table.sum())) == 0.0
+        assert community._expected_mi(table.sum(axis=1), table.sum(axis=0), int(table.sum())) == 0.0
 
 
 class TestClusterSizes:

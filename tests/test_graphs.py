@@ -372,11 +372,18 @@ def test_graph_file_reader_accepts(tmp_path, body, edges, isolated):
         ("# directed\na.onion\tb.onion\t\n", "bad weight at line 2: ''"),
         ("# directed\n#a.onion\tb.onion\t1\n",
          "unrecognized comment at line 2: '#a.onion\\tb.onion\\t1'"),
+        # "\udcXX" stands for the byte 0xXX, which does not decode
+        pytest.param("\udcff# directed\n", "line 1: byte ff is not UTF-8 (invalid start byte)",
+                     id="first-byte"),
+        pytest.param("# directed\n" + "".join(f"a{i}.onion\tb.onion\t1\n" for i in range(600))
+                     + "c\udce9.onion\td.onion\t1\n",
+                     "line 602: byte e9 is not UTF-8 (invalid continuation byte)",
+                     id="byte-past-8-KiB"),
     ],
 )
 def test_graph_file_reader_rejects(tmp_path, text, message):
     path = tmp_path / "g.tsv"
-    path.write_text(text)
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     with pytest.raises(DataError) as info:
         read_graph_file(path)
     assert str(info.value) == f"{path}: {message}"

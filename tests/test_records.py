@@ -175,6 +175,21 @@ class TestParseErrorsNameTheFile:
                 f"{path}: line 2: field 'depth' must be a non-negative integer")
             assert info.value.line_no == 2
 
+    # 200 lines of about 100 bytes run past the text reader's first 8 KiB chunk
+    @pytest.mark.parametrize("n_before, newline", [
+        (0, "\n"), (200, "\n"), (200, "\r\n"), (200, "\r"),
+    ])
+    def test_undecodable_byte_names_file_and_line(self, tmp_path, n_before, newline):
+        path = tmp_path / "b.jsonl"
+        good = (make_line() + newline).encode()
+        path.write_bytes(good * n_before + b"\xff" + good)
+        for parse in (parse_pages_file, lambda p: list(iter_pages_file(p))):
+            with pytest.raises(ParseError) as info:
+                parse(path)
+            assert str(info.value) == (
+                f"{path}: line {n_before + 1}: byte ff is not UTF-8 (invalid start byte)")
+            assert info.value.line_no == n_before + 1
+
     def test_lines_alone_carry_no_source(self):
         with pytest.raises(ParseError) as info:
             parse_pages([make_line(), "{not json"])
