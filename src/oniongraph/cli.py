@@ -130,6 +130,14 @@ def _read(reader, path):
         return reader(fh)
 
 
+def _read_graph(path) -> ServiceGraph:
+    """The graph in file `path`, which must hold a vertex; the error names the file."""
+    g = read_graph_file(path)
+    if g.N == 0:
+        raise DataError(f"{path}: empty graph")
+    return g
+
+
 def sha256_file(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -507,7 +515,8 @@ def run_pipeline(config: RunConfig) -> dict:
         return full
 
     def write(rel: str, text: str) -> None:
-        atomic_write_text(path(rel), text)
+        # the staging directory is published whole or removed whole
+        Path(path(rel)).write_text(text, encoding="utf-8", newline="")
 
     skipped: list[dict] = []
     stage = "setup"
@@ -700,7 +709,7 @@ def _lcratio_from_summaries_csv(path) -> dict[str, float]:
 
 
 def _cmd_metrics(args) -> int:
-    g = read_graph_file(args.graph)
+    g = _read_graph(args.graph)
     lcr = _lcratio_from_summaries_csv(args.summaries) if args.summaries else None
     texts, _ = _metrics(g, args.component, lcr, args.weighted_rank,
                         args.k_hubs if args.hub_curve_json else None)
@@ -714,7 +723,7 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_fit(args) -> int:
     if args.graph:
-        g = read_graph_file(args.graph)
+        g = _read_graph(args.graph)
         degrees = {"in": g.in_degrees, "out": g.out_degrees, "total": g.degrees}[args.degree]()
     elif args.degrees_csv:
         pairs = _csv_numbers(args.degrees_csv, args.column, args.column)
@@ -729,7 +738,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_communities(args) -> int:
-    part = louvain(read_graph_file(args.graph), seed=args.seed_louvain)
+    part = louvain(_read_graph(args.graph), seed=args.seed_louvain)
     atomic_write_text(args.out, _csv_text(write_partition_csv, part))
     print(f"wrote {part.n_clusters} clusters to {args.out}")
     return 0
@@ -739,16 +748,18 @@ def _cmd_compare(args) -> int:
     pa, pb = _read(read_partition_csv, args.a), _read(read_partition_csv, args.b)
     if args.restrict_common:
         score, n_common = ami_on_common(pa, pb)
-        payload = {"ami": score, "common_vertices": n_common}
     else:
-        payload = {"ami": ami(pa, pb), "common_vertices": pa.n_vertices}
-    atomic_write_text(args.out, dump_json(payload))
+        try:
+            score, n_common = ami(pa, pb), pa.n_vertices
+        except DataError as exc:  # the two partitions do not fit together
+            raise DataError(f"{args.a} and {args.b}: {exc}") from None
+    atomic_write_text(args.out, dump_json({"ami": score, "common_vertices": n_common}))
     print(f"wrote AMI report to {args.out}")
     return 0
 
 
 def _cmd_bowtie(args) -> int:
-    result = bowtie_decompose(read_graph_file(args.graph))
+    result = bowtie_decompose(_read_graph(args.graph))
     atomic_write_text(args.out, dump_json(result.to_dict()))
     print(f"wrote bow-tie decomposition to {args.out}")
     return 0
@@ -879,7 +890,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--graph", required=True)
     q.add_argument("--out", required=True)
     q.set_defaults(stats_text=lambda a: _prevalence_json(_read(LabelSet.from_csv, a.labels),
-                                                         read_graph_file(a.graph)))
+                                                         _read_graph(a.graph)))
     q = stats_sub.add_parser("gain", help="information-gain matrix")
     q.add_argument("--vertex-csv", required=True)
     q.add_argument("--labels", required=True)

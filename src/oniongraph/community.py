@@ -276,8 +276,6 @@ def louvain(g: ServiceGraph, seed: int = DEFAULT_LOUVAIN_SEED) -> Partition:
     """Iterated local moving + aggregation until no level improves modularity."""
     if g.N == 0:
         raise DataError("louvain of an empty graph")
-    if g.M == 0:
-        return Partition(g.vertices, np.arange(g.N))
     rng = random.Random(seed)
     n = g.N
     # per edge, (src, dst) then (dst, src)

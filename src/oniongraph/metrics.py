@@ -58,6 +58,8 @@ _COUNT_COLUMNS = ("in_degree", "out_degree", "degree")
 # Sources per distance block are chosen so that a float64 block holds at most
 # this many entries (1 MiB). A full N x N matrix costs 8 N^2 bytes: 800 MB at
 # N = 10 000, and already a measurable share of peak memory at N ~ 1000.
+# Every blocked product of vertex_metrics takes the same rows, so the same
+# bound holds for it: the rows of A S (closed pairs) have at most N entries.
 _BLOCK_ENTRIES = 2**17
 
 
@@ -72,29 +74,6 @@ def _distance_blocks(g: ServiceGraph):
         yield rows, csgraph.shortest_path(
             a, method="D", directed=g.directed, unweighted=True, indices=rows
         )
-
-
-def _closed_pairs(g: ServiceGraph) -> np.ndarray:
-    """Per vertex, the ordered pairs of distinct (out-)neighbors linked in at
-    least one direction: rowsum((A S) * A) with A the 0/1 adjacency and S its
-    0/1 symmetrization, so a reciprocated pair still counts once.
-
-    A S is formed over consecutive row blocks of at most _BLOCK_ENTRIES
-    entries (or one row): row u of A S has at most (A deg_S)[u] entries, so
-    a vertex linked with k others costs k entries per neighbor's row, never
-    the k^2 of the whole product at once."""
-    a = g.adjacency()
-    s = (a + a.T > 0).astype(np.float64) if g.directed else a
-    bound = np.cumsum(a @ s.sum(axis=1))  # entries of A S in rows 0..u, at most
-    closed = np.zeros(g.N, dtype=np.int64)
-    lo = 0
-    while lo < g.N:
-        start = bound[lo - 1] if lo else 0.0
-        hi = max(lo + 1, int(np.searchsorted(bound, start + _BLOCK_ENTRIES, side="right")))
-        block = a[lo:hi]
-        closed[lo:hi] = (block @ s).multiply(block).sum(axis=1)
-        lo = hi
-    return closed
 
 
 def _brandes_accumulate(dist, esrc, edst, source, n, betweenness) -> None:
@@ -153,8 +132,6 @@ def assortativity(g: ServiceGraph) -> float:
             return math.nan
         x = np.concatenate([a, b])
         y = np.concatenate([b, a])
-    if x.size < 2:
-        return math.nan
     return _pearson(x, y)
 
 
@@ -344,6 +321,11 @@ def vertex_metrics(
     sum_in = np.zeros(n)  # sum of finite d(u, v) over sources u (into v)
     cnt_in = np.zeros(n, dtype=np.int64)
     eff_sum = np.zeros(n)
+    # closed[u]: ordered pairs of distinct (out-)neighbors of u linked in at
+    # least one direction, rowsum((A S) * A) with S the 0/1 symmetrization of
+    # A, so a reciprocated pair still counts once
+    sym = (a + a.T > 0).astype(np.float64) if g.directed else a
+    closed = np.zeros(n, dtype=np.int64)
     inv_sum = 0.0  # sum of 1/d(u, v) over reached pairs, for global efficiency
 
     for rows, d in _distance_blocks(g):
@@ -358,6 +340,7 @@ def vertex_metrics(
         inv = np.divide(1.0, d, out=np.zeros_like(d), where=reached)
         inv_sum += float(inv[reached].sum())
         eff_sum += np.asarray(a[:, rows[0] : rows[-1] + 1].multiply(a @ inv.T).sum(axis=1)).ravel()
+        closed[rows] = (a[rows] @ sym).multiply(a[rows]).sum(axis=1)
         dist = np.where(np.isfinite(d), d, -1).astype(np.int64)
         for s, row in zip(rows.tolist(), dist):
             _brandes_accumulate(row, esrc, edst, s, n, betweenness)
@@ -376,7 +359,6 @@ def vertex_metrics(
     k = np.diff(g.successors_csr()[0])
     ordered = k * (k - 1)  # ordered pairs of distinct (out-)neighbors
     local = k >= 2
-    closed = _closed_pairs(g)
     efficiency = np.full(n, np.nan)
     efficiency[local] = eff_sum[local] / ordered[local]
     transitivity = np.full(n, np.nan)

@@ -228,10 +228,11 @@ def count_calls(monkeypatch, module, names):
 
 
 class TestOnePassPerGraph:
-    """The all-sources distance pass and the closed-pair product run once
-    for each analysed graph: the global metrics reduce the vertex pass."""
+    """The all-sources distance pass, which also counts the closed pairs,
+    runs once for each analysed graph: the global metrics reduce the vertex
+    pass."""
 
-    PASSES = ("_distance_blocks", "_closed_pairs")
+    PASSES = ("_distance_blocks",)
 
     def test_run(self, corpus_dir, tmp_path, monkeypatch):
         root, paths, corpus = corpus_dir
@@ -448,6 +449,10 @@ class TestExitCodes:
         pytest.param(METRICS_ARGV, "service,snapshot,tree_height,chars,links,lcratio\n"
                      + "a.onion,S1,0,10,1,0.1\n" * 600 + "b\udcff.onion,S1,0,10,1,0.1\n", 602,
                      id="summaries-byte-past-8-KiB"),
+        pytest.param(["compare", "--a", "{bad}", "--b", "{partition}", "--out", "{out}"],
+                     "vertex,label\na.onion,0\n", 1, id="partition-header"),
+        pytest.param(["stats", "corr", "--vertex-csv", "{bad}", "--out", "{out}"],
+                     "vertex,degree\na.onion,1\n", 1, id="vertex-header"),
     ])
     def test_malformed_table_is_2_and_names_the_file(self, tmp_path, capsys, argv, text, line):
         files = {"bad": tmp_path / "bad.csv", "partition": tmp_path / "part.csv",
@@ -466,10 +471,42 @@ class TestExitCodes:
         empty.write_text("vertex,cluster\n")
         argv = ["compare", "--a", str(empty), "--b", str(empty), "--out", str(out)]
         assert main(argv) == 2
-        assert capsys.readouterr().err == "error: empty partitions\n"
+        assert capsys.readouterr().err == f"error: {empty} and {empty}: empty partitions\n"
         assert not out.exists()
         assert main([*argv, "--restrict-common"]) == 0
         assert json.loads(out.read_text()) == {"ami": None, "common_vertices": 0}
+
+    def test_compare_of_different_vertex_sets_names_both_files(self, tmp_path, capsys):
+        a, b, out = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "ami.json"
+        a.write_text("vertex,cluster\na.onion,0\nb.onion,1\n")
+        b.write_text("vertex,cluster\na.onion,0\nc.onion,1\n")
+        assert main(["compare", "--a", str(a), "--b", str(b), "--out", str(out)]) == 2
+        assert (capsys.readouterr().err
+                == f"error: {a} and {b}: partitions cover different vertex sets\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["metrics", "--graph", "{graph}", "--global-json", "{out}", "--vertex-csv", "{vertices}"],
+        ["fit", "--graph", "{graph}", "--out", "{out}"],
+        ["communities", "--graph", "{graph}", "--out", "{out}"],
+        ["bowtie", "--graph", "{graph}", "--out", "{out}"],
+        ["stats", "prevalence", "--labels", "{labels}", "--graph", "{graph}", "--out", "{out}"],
+    ], ids=lambda argv: "-".join(argv[:2]).replace("--graph", "").strip("-"))
+    def test_header_only_graph_is_2_and_names_the_file(self, tmp_path, capsys, argv):
+        files = {"graph": tmp_path / "empty.tsv", "out": tmp_path / "out",
+                 "vertices": tmp_path / "v.csv", "labels": tmp_path / "labels.csv"}
+        files["graph"].write_text("# directed\n")
+        files["labels"].write_text("service,class,language\na.onion,Drugs,en\n")
+        assert main([arg.format(**files) for arg in argv]) == 2
+        assert capsys.readouterr().err == f"error: {files['graph']}: empty graph\n"
+        assert not files["out"].exists()
+
+    def test_build_may_write_an_empty_graph(self, tmp_path):
+        empty, out = tmp_path / "empty.tsv", tmp_path / "g.tsv"
+        empty.write_text("# directed\n")
+        assert main(["build", "--combine", "union", "--inputs", str(empty), str(empty),
+                     "--out", str(out)]) == 0
+        assert read_graph_file(out).N == 0
 
     @pytest.mark.parametrize("argv, message", [
         (["--combine", "union"], "--combine needs --inputs graph files"),
@@ -640,6 +677,31 @@ class TestRunPipeline:
         manifest = run_pipeline(RunConfig.from_dict(cfg))
         assert {"stage": "stats.labels", "reason": "no labels configured"} in manifest["skipped"]
         assert not any(a["path"].endswith("gain.csv") for a in manifest["artifacts"])
+
+    def test_fit_error_is_written_and_the_run_goes_on(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = {"snapshots": {"S1": str(write_tiny_pages(tmp_path))}, "out_dir": str(out),
+               "fit_min_tail": 1000}  # more than any tail holds
+        assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 0
+        fits = sorted((out / "fits").iterdir())
+        assert [f.name for f in fits] == ["dsg_S1.in.json", "dsg_S1.out.json",
+                                          "dsg_union.in.json", "dsg_union.out.json",
+                                          "usg_S1.degree.json", "usg_union.degree.json"]
+        for fit in fits:
+            assert list(json.loads(fit.read_text())) == ["error"]
+
+    def test_labels_of_no_vertex_skip_the_label_stats(self, tmp_path):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("service,class,language\nzzz.onion,Drugs,en\n")
+        cfg = RunConfig.from_dict({"snapshots": {"S1": str(write_tiny_pages(tmp_path))},
+                                   "labels": str(labels), "out_dir": str(tmp_path / "out")})
+        manifest = run_pipeline(cfg)
+        names = ("dsg_S1", "dsg_union", "usg_S1", "usg_union")
+        skipped = {s["stage"] for s in manifest["skipped"]}
+        assert {f"stats.{mode}.{name}" for mode in ("prevalence", "gain") for name in names} \
+            <= skipped
+        assert not any(a["path"].endswith((".prevalence.json", ".gain.csv"))
+                       for a in manifest["artifacts"])
 
     def test_stage_error_names_stage_and_cleans_up(self, corpus_dir, tmp_path):
         root, paths, corpus = corpus_dir
@@ -854,7 +916,7 @@ class TestOutputDirectory:
     @pytest.mark.parametrize("occupant", [
         "regular-file", "dangling-symlink", "foreign-files", "foreign-manifest",
         "run-and-foreign-file", "run-and-git", "run-and-file-in-stage-dir",
-        "run-and-leftover-staging", "undecodable-manifest",
+        "run-and-leftover-staging", "undecodable-manifest", "config-not-an-object",
     ])
     def test_unowned_out_dir_is_refused(self, corpus_dir, tmp_path, occupant):
         root, paths, corpus = corpus_dir
@@ -877,6 +939,9 @@ class TestOutputDirectory:
             # the manifest of an empty run, but for one byte that is not UTF-8
             out.mkdir()
             (out / "manifest.json").write_bytes(b'{"artifacts": [], "config": {"\xff": 1}}\n')
+        elif occupant == "config-not-an-object":
+            out.mkdir()
+            (out / "manifest.json").write_text('{"artifacts": [], "config": []}\n')
         else:
             out.mkdir()
             (out / "index.html").write_text("not a run\n")

@@ -132,6 +132,14 @@ class TestLouvain:
         assert part.labels.dtype == np.int64
         assert part.labels.tolist() == [0, 1, 2, 3]
 
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_edgeless_graph_gives_singletons_for_every_seed(self, directed):
+        g = ServiceGraph.from_edges(directed, [], isolated_vertices=[vid(i) for i in range(5)])
+        for seed in range(4):
+            part = louvain(g, seed=seed)
+            assert part.labels.dtype == np.int64
+            assert part.labels.tolist() == [0, 1, 2, 3, 4]
+
     @pytest.mark.parametrize("kind,seed,sha256", [
         ("dsg", 0, "7070a1fc201db140363e8d2a99ee5ec900546e57e76d5718bf269917d1236533"),
         ("dsg", 1, "64cb0e1294423a46119e1442fb7c275fe0f3d99491500694982dee06361c52f7"),

@@ -366,6 +366,8 @@ def test_graph_file_reader_accepts(tmp_path, body, edges, isolated):
     "text, message",
     [
         ("a.onion\tb.onion\t1\n# directed\n", "missing '# directed|undirected' header"),
+        ("", "missing '# directed|undirected' header"),
+        ("# directed\na.onion\tb.onion\t1\n# undirected\n", "duplicate header at line 3"),
         ("# directed\na.onion\tb.onion\n", "expected 'src\\ttarget\\tweight' at line 2"),
         ("# directed\na.onion\tb.onion\t1\t1\n", "expected 'src\\ttarget\\tweight' at line 2"),
         ("# directed\na.onion\tb.onion\t1\nb.onion\tc.onion\tx\n", "bad weight at line 3: 'x'"),

@@ -1,6 +1,6 @@
-"""Working memory linear in the input: closed pairs over row blocks, AMI on
-the sparse contingency table, and a `run` parent that holds no page record
-when it forks its workers.
+"""Working memory linear in the input: closed pairs over the distance pass's
+row blocks, AMI on the sparse contingency table, and a `run` parent that
+holds no page record when it forks its workers.
 
 The budget tests run their kernel in a fresh interpreter and read its peak
 RSS: on inputs where a product or table quadratic in a hub's degree or in
@@ -25,7 +25,7 @@ from oniongraph.graphs import ServiceGraph
 from oniongraph.records import PageRecord
 from oniongraph.synth import CorpusSpec, generate_corpus
 
-from oracles import closed_pairs_oracle, random_digraph, random_undirected, vid
+from oracles import adjacency_bool, closed_pairs_oracle, random_digraph, random_undirected, vid
 
 BUDGET_MIB = 150
 
@@ -81,23 +81,35 @@ def star(k, directed):
     return ServiceGraph.from_edges(directed, edges)
 
 
+def transitivity_oracle(g):
+    """Closed pairs over ordered (out-)neighbor pairs, NaN below 2 neighbors,
+    divided as vertex_metrics divides them."""
+    k = adjacency_bool(g).sum(axis=1).astype(np.int64)
+    expected = np.full(g.N, np.nan)
+    expected[k >= 2] = closed_pairs_oracle(g)[k >= 2] / (k * (k - 1))[k >= 2]
+    return expected
+
+
 class TestClosedPairsInBlocks:
-    @pytest.mark.parametrize("budget", [1, 64])  # a block per row; blocks of a few rows
+    """vertex_metrics counts closed pairs in the distance pass's row blocks."""
+
+    # rows per block on 35 vertices: 1, 1 and 29
+    @pytest.mark.parametrize("budget", [1, 64, 1024])
     @pytest.mark.parametrize("seed", range(2))
     def test_random_graphs_match_the_pair_count(self, seed, budget, monkeypatch):
         rng = np.random.default_rng(90 + seed)
         monkeypatch.setattr(metrics, "_BLOCK_ENTRIES", budget)
         for g in (random_digraph(rng, 35, 0.15), random_undirected(rng, 35, 0.15)):
-            closed = metrics._closed_pairs(g)
-            assert closed.dtype == np.int64
-            assert closed.tolist() == closed_pairs_oracle(g).tolist()
+            assert np.array_equal(metrics.vertex_metrics(g).transitivity, transitivity_oracle(g),
+                                  equal_nan=True)
 
     @pytest.mark.parametrize("directed", [True, False])
     def test_a_hub_row_larger_than_the_budget(self, directed, monkeypatch):
         # the hub's row alone exceeds the budget, so it is a block by itself
         monkeypatch.setattr(metrics, "_BLOCK_ENTRIES", 10)
         g = star(40, directed)
-        assert metrics._closed_pairs(g).tolist() == closed_pairs_oracle(g).tolist()
+        assert np.array_equal(metrics.vertex_metrics(g).transitivity, transitivity_oracle(g),
+                              equal_nan=True)
 
 
 needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),

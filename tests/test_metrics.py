@@ -131,6 +131,14 @@ class TestAssortativity:
     def test_star_has_no_variance(self):
         assert math.isnan(assortativity(star(6, directed=False)))
 
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_one_edge_and_no_edge_are_nan(self, directed):
+        # a single edge is one observation, which supports no correlation
+        one = ServiceGraph.from_edges(directed, [(vid(0), vid(1), 1)])
+        none = ServiceGraph.from_edges(directed, [], isolated_vertices=[vid(0), vid(1)])
+        assert math.isnan(assortativity(one))
+        assert math.isnan(assortativity(none))
+
     def test_four_path_matches_direct_pearson(self):
         g = ug([(vid(0), vid(1), 1), (vid(1), vid(2), 1), (vid(2), vid(3), 1)])
         # oracle: Pearson over the doubled edge list
