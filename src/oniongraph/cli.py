@@ -350,11 +350,10 @@ _FAILURE_ORDER = (POOL_STAGE, *GRAPH_STAGES)
 
 @dataclass
 class _Analysis:
-    """One graph's analysis: its artifacts (path in the run -> text), its
-    partition and its skipped outputs. `stage` is the last stage it entered
-    and `error` what stopped it there, if anything did."""
+    """One graph's analysis: its partition and its skipped outputs. `stage`
+    is the last stage it entered and `error` what stopped it there, if
+    anything did."""
 
-    texts: dict[str, str] = field(default_factory=dict)
     partition: Partition | None = None
     skipped: list[dict] = field(default_factory=list)
     stage: str = GRAPH_STAGES[0]
@@ -362,17 +361,18 @@ class _Analysis:
 
 
 def _analyse_graph(config: RunConfig, labels: LabelSet | None, graphs: dict[str, ServiceGraph],
-                   lcr_for: dict[str, dict[str, float]], name: str) -> _Analysis:
-    """Every stage of GRAPH_STAGES on graph `name`, in order; writes no file.
-    A failure is returned in the outcome, not raised, so the caller can pick
-    the one a stage-by-stage run over all graphs would meet first."""
+                   lcr_for: dict[str, dict[str, float]], write, name: str) -> _Analysis:
+    """Every stage of GRAPH_STAGES on graph `name`, in order, staging each
+    artifact as it is made with `write(path in the run, text)`. A failure is
+    returned in the outcome, not raised, so the caller can pick the one a
+    stage-by-stage run over all graphs would meet first."""
     g = graphs[name]
     out = _Analysis()
     try:
         texts, vm = _metrics(g, config.component_policy, lcr_for[name], config.weighted_rank,
                              config.k_hubs)
         for suffix, text in texts.items():
-            out.texts[f"metrics/{name}.{suffix}"] = text
+            write(f"metrics/{name}.{suffix}", text)
 
         out.stage = "fit"
         kinds = (("in", g.in_degrees()), ("out", g.out_degrees())) if g.directed \
@@ -382,26 +382,25 @@ def _analyse_graph(config: RunConfig, labels: LabelSet | None, graphs: dict[str,
                 text = _fit(degrees, config.fit_min_tail, config.fit_bootstrap, config.seed_fit)
             except DataError as exc:
                 text = dump_json({"error": str(exc)})
-            out.texts[f"fits/{name}.{kind}.json"] = text
+            write(f"fits/{name}.{kind}.json", text)
 
         out.stage = "communities"
         out.partition = louvain(g, seed=config.seed_louvain)
-        out.texts[f"communities/{name}.partition.csv"] = _csv_text(write_partition_csv,
-                                                                   out.partition)
+        write(f"communities/{name}.partition.csv", _csv_text(write_partition_csv, out.partition))
 
         out.stage = "bowtie"
         if g.directed:
-            out.texts[f"bowtie/{name}.json"] = dump_json(bowtie_decompose(g).to_dict())
+            write(f"bowtie/{name}.json", dump_json(bowtie_decompose(g).to_dict()))
 
         out.stage = "stats"
-        out.texts[f"stats/{name}.corr.csv"] = _corr_csv(vm)
+        write(f"stats/{name}.corr.csv", _corr_csv(vm))
         if labels is not None:
             for mode, fname, text in (
                 ("prevalence", f"{name}.prevalence.json", lambda: _prevalence_json(labels, g)),
                 ("gain", f"{name}.gain.csv", lambda: _gain_csv(vm, labels)),
             ):
                 try:
-                    out.texts[f"stats/{fname}"] = text()
+                    write(f"stats/{fname}", text())
                 except DataError as exc:
                     out.skipped.append({"stage": f"stats.{mode}.{name}", "reason": str(exc)})
     except Exception as exc:  # handed to the caller, which reports it as a StageError
@@ -437,32 +436,29 @@ def _outcome(future) -> _Analysis:
         return _Analysis(stage=POOL_STAGE, error=exc)
 
 
-def _analyse_all(task, names: list[str], collect) -> None:
-    """Call `collect(name, task(name))` for each of `names` as its outcome
-    arrives; the tasks start in the order given.
+def _analyse_all(task, names: list[str]) -> dict[str, _Analysis]:
+    """`{name: task(name)}` for each of `names`; the tasks start in the order
+    given, and each writes its own graph's files into the staging directory.
 
     The tasks run in a pool of forked worker processes, one per usable CPU
-    and at most one per name, and their outcomes arrive as they complete;
-    with one worker, or where `fork` is not available, they run one after
-    another in this process. Forked workers inherit `task` and the graphs it
-    holds without pickling them; the pipeline starts no thread of its own
-    before the fork.
+    and at most one per name; with one worker, or where `fork` is not
+    available, they run one after another in this process. Forked workers
+    inherit `task`, the graphs it holds and its write function without
+    pickling them; the pipeline starts no thread of its own before the fork.
+    Only the outcomes, which hold no artifact, come back.
     """
     # imported here, not with the module: at module level these imports
     # raised the subcommands' peak memory by 2-3 MiB (`stages-6000` chain)
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures import ProcessPoolExecutor
 
     workers = min(len(names), _usable_cpus())
     if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-        for name in names:
-            collect(name, task(name))
-        return
+        return {name: task(name) for name in names}
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                              initializer=_set_pool_task, initargs=(task,)) as pool:
-        futures = {pool.submit(_call_pool_task, name): name for name in names}
-        for future in as_completed(futures):
-            collect(futures[future], _outcome(future))
+        futures = [pool.submit(_call_pool_task, name) for name in names]
+        return {name: _outcome(future) for name, future in zip(names, futures)}
 
 
 # -- pipeline ----------------------------------------------------------------------
@@ -506,12 +502,10 @@ def run_pipeline(config: RunConfig) -> dict:
     config.validate()
     out_dir = os.path.abspath(config.out_dir)
     staging = None
-    written: list[str] = []
 
     def path(rel: str) -> str:
         full = os.path.join(staging, rel)
         os.makedirs(os.path.dirname(full), exist_ok=True)
-        written.append(rel)
         return full
 
     def write(rel: str, text: str) -> None:
@@ -583,17 +577,8 @@ def run_pipeline(config: RunConfig) -> dict:
 
         # metrics, fit, communities, bowtie, stats: one task per graph ----------
         stage = POOL_STAGE  # until every outcome is in, a failure is the pool's
-        analyses: dict[str, _Analysis] = {}
-
-        def collect(name: str, outcome: _Analysis) -> None:
-            """Stage the outcome's artifacts now and keep the rest of it."""
-            for rel, text in outcome.texts.items():
-                write(rel, text)
-            outcome.texts.clear()
-            analyses[name] = outcome
-
-        task = functools.partial(_analyse_graph, config, labels, graphs, lcr_for)
-        _analyse_all(task, sorted(graphs, key=lambda name: (-graphs[name].M, name)), collect)
+        task = functools.partial(_analyse_graph, config, labels, graphs, lcr_for, write)
+        analyses = _analyse_all(task, sorted(graphs, key=lambda name: (-graphs[name].M, name)))
         names = sorted(graphs)
         # the failure the stage-major order meets first: earliest stage, then graph name
         failed = sorted((_FAILURE_ORDER.index(analyses[name].stage), name)
@@ -620,12 +605,12 @@ def run_pipeline(config: RunConfig) -> dict:
         write("communities/ami_matrix.json",
               dump_json({"graphs": names, "ami": matrix, "common_vertices": common_counts}))
 
-        # manifest ----------------------------------------------------------------------------
+        # manifest: every file staged, by its '/'-joined path in the run --------------------
         stage = "manifest"
-        artifacts = [
-            {"path": rel, "sha256": sha256_file(os.path.join(staging, rel))}
-            for rel in sorted(written)
-        ]
+        staged = sorted(p.relative_to(staging).as_posix()
+                        for p in Path(staging).rglob("*") if p.is_file())
+        artifacts = [{"path": rel, "sha256": sha256_file(os.path.join(staging, rel))}
+                     for rel in staged]
         manifest = {
             "config": config.to_dict(),
             "artifacts": artifacts,
@@ -724,6 +709,10 @@ def _cmd_metrics(args) -> int:
 def _cmd_fit(args) -> int:
     if args.graph:
         g = _read_graph(args.graph)
+        if not g.directed and args.degree != "total":
+            # an undirected edge is stored smaller end first, so its in and out ends mean nothing
+            raise UsageError(f"{args.graph}: --degree {args.degree} needs a directed graph; "
+                             "use --degree total")
         degrees = {"in": g.in_degrees, "out": g.out_degrees, "total": g.degrees}[args.degree]()
     elif args.degrees_csv:
         pairs = _csv_numbers(args.degrees_csv, args.column, args.column)

@@ -423,4 +423,7 @@ def read_graph_file(path) -> ServiceGraph:
             raise DataError(f"{path}: bad weight at line {line_no}: {weight!r}")
     if directed is None:
         raise DataError(f"{path}: missing '# directed|undirected' header")
-    return _from_ids(directed, sources, targets, weights, isolated)
+    try:
+        return _from_ids(directed, sources, targets, weights, isolated)
+    except DataError as exc:  # a self-loop, a weight below 1 or a repeated edge
+        raise DataError(f"{path}: {exc}") from None

@@ -103,6 +103,8 @@ class LabelSet:
                 continue
             if len(row) < 3:
                 raise ParseError(f"bad label row: {row!r}", reader.line_num, source)
+            if row[0] in labels:
+                raise ParseError(f"service {row[0]!r} listed twice", reader.line_num, source)
             try:
                 labels[row[0]] = _label(*row[:3])
             except DataError as exc:

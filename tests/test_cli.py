@@ -1,4 +1,5 @@
 import concurrent.futures
+import glob
 import json
 import multiprocessing
 import os
@@ -351,6 +352,18 @@ class TestExitCodes:
         out = tmp_path / "fit.json"
         assert main(["fit", *(a.format(degrees=degrees) for a in argv), "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("degree", ["in", "out"])
+    def test_fit_of_in_or_out_degrees_of_an_undirected_graph_is_1(self, tmp_path, capsys,
+                                                                   degree):
+        # an undirected edge is stored smaller end first: this star would give
+        # out-degrees [3, 0, 0, 0] and in-degrees [0, 1, 1, 1]
+        graph, out = tmp_path / "u.tsv", tmp_path / "fit.json"
+        graph.write_text("# undirected\n" + "".join(f"a.onion\t{v}.onion\t1\n" for v in "bcd"))
+        assert main(["fit", "--graph", str(graph), "--degree", degree, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error: {graph}: --degree {degree} needs a directed "
+                                           "graph; use --degree total\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command,flag,text", [
@@ -1031,20 +1044,34 @@ class TestWorkerPool:
         assert run_main(tmp_path, cfg, capsys)[0] == 0
         before = tree_of(tmp_path)
         parent = os.getpid()
-        real_louvain = cli.louvain
 
-        def louvain(g, seed):
-            if os.getpid() != parent and not g.directed:
+        def in_usg_louvain(g):
+            if not g.directed:
                 os._exit(1)
-            return real_louvain(g, seed=seed)
 
-        monkeypatch.setattr(cli, "louvain", louvain)
-        pools = force_workers(monkeypatch, 2)
-        code, err = run_main(tmp_path, cfg, capsys)
-        assert (code, pools) == (3, [2])
-        assert err.startswith("error: stage 'workers' failed: ")
-        # no .staging-* or .old-* directory is left behind either
-        assert tree_of(tmp_path) == before
+        def in_dsg_bowtie(g):
+            # a DSG's bow-tie comes after its metrics, fits and partition are staged
+            staging, = glob.glob(str(tmp_path / "out" / ".staging-*"))
+            name, = [os.path.basename(p)[:-len(".tsv")]
+                     for p in glob.glob(f"{staging}/graphs/dsg_*.tsv") if read_graph_file(p) == g]
+            if not os.path.exists(f"{staging}/communities/{name}.partition.csv"):
+                raise AssertionError(f"{name}: no partition staged before its bow-tie")
+            os._exit(1)
+
+        for name, kill in (("louvain", in_usg_louvain), ("bowtie_decompose", in_dsg_bowtie)):
+            def dying(g, *args, real=getattr(cli, name), kill=kill, **kwargs):
+                if os.getpid() != parent:
+                    kill(g)
+                return real(g, *args, **kwargs)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, name, dying)
+                pools = force_workers(patch, 2)
+                code, err = run_main(tmp_path, cfg, capsys)
+            assert (code, pools) == (3, [2])
+            assert err.startswith("error: stage 'workers' failed: ")
+            # no .staging-* or .old-* directory is left behind either
+            assert tree_of(tmp_path) == before
 
 
 # -- parity: each subcommand writes byte for byte what `run` writes ----------------

@@ -374,6 +374,11 @@ def test_graph_file_reader_accepts(tmp_path, body, edges, isolated):
         ("# directed\na.onion\tb.onion\t\n", "bad weight at line 2: ''"),
         ("# directed\n#a.onion\tb.onion\t1\n",
          "unrecognized comment at line 2: '#a.onion\\tb.onion\\t1'"),
+        # the graph the lines make is checked after the last line, so no line is named
+        ("# directed\na.onion\tb.onion\t1\na.onion\tb.onion\t2\n",
+         "duplicate edge ('a.onion', 'b.onion')"),
+        ("# directed\na.onion\ta.onion\t1\n", "self-loop on 'a.onion' is not allowed"),
+        ("# directed\na.onion\tb.onion\t0\n", "edge ('a.onion', 'b.onion') has non-positive weight 0"),
         # "\udcXX" stands for the byte 0xXX, which does not decode
         pytest.param("\udcff# directed\n", "line 1: byte ff is not UTF-8 (invalid start byte)",
                      id="first-byte"),

@@ -144,6 +144,8 @@ class TestLabelSet:
         ("service,klass,language\n", "line 1: label CSV must start with"),
         ("service,class,language\nx.onion,Drugs,en\n\ny.onion,Drugs\n", "line 4: bad label row"),
         ("service,class,language\nx.onion,Puppies,en\n", "line 2: unknown content class"),
+        ("service,class,language\na.onion,Drugs,en\na.onion,Art,en\n",
+         "line 3: service 'a.onion' listed twice"),
     ])
     def test_csv_errors_name_the_file_and_line(self, tmp_path, text, where):
         path = tmp_path / "labels.csv"
