@@ -130,6 +130,14 @@ def _read(reader, path):
         return reader(fh)
 
 
+def _about(paths, make, *inputs):
+    """`make(*inputs)`; a DataError it raises names the input files `paths`."""
+    try:
+        return make(*inputs)
+    except DataError as exc:
+        raise DataError(f"{' and '.join(map(str, paths))}: {exc}") from None
+
+
 def _read_graph(path) -> ServiceGraph:
     """The graph in file `path`, which must hold a vertex; the error names the file."""
     g = read_graph_file(path)
@@ -721,7 +729,9 @@ def _cmd_fit(args) -> int:
         degrees = np.array([degree for _, degree in pairs])
     else:
         raise UsageError("either --graph or --degrees-csv is required")
-    atomic_write_text(args.out, _fit(degrees, args.min_tail, args.bootstrap, args.seed_fit))
+    text = _about([args.graph or args.degrees_csv], _fit, degrees, args.min_tail, args.bootstrap,
+                  args.seed_fit)
+    atomic_write_text(args.out, text)
     print(f"wrote fit report to {args.out}")
     return 0
 
@@ -738,17 +748,17 @@ def _cmd_compare(args) -> int:
     if args.restrict_common:
         score, n_common = ami_on_common(pa, pb)
     else:
-        try:
-            score, n_common = ami(pa, pb), pa.n_vertices
-        except DataError as exc:  # the two partitions do not fit together
-            raise DataError(f"{args.a} and {args.b}: {exc}") from None
+        score, n_common = _about([args.a, args.b], ami, pa, pb), pa.n_vertices
     atomic_write_text(args.out, dump_json({"ami": score, "common_vertices": n_common}))
     print(f"wrote AMI report to {args.out}")
     return 0
 
 
 def _cmd_bowtie(args) -> int:
-    result = bowtie_decompose(_read_graph(args.graph))
+    g = _read_graph(args.graph)
+    if not g.directed:
+        raise UsageError(f"{args.graph}: bow-tie decomposition needs a directed graph")
+    result = bowtie_decompose(g)
     atomic_write_text(args.out, dump_json(result.to_dict()))
     print(f"wrote bow-tie decomposition to {args.out}")
     return 0
@@ -878,14 +888,16 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--labels", required=True)
     q.add_argument("--graph", required=True)
     q.add_argument("--out", required=True)
-    q.set_defaults(stats_text=lambda a: _prevalence_json(_read(LabelSet.from_csv, a.labels),
-                                                         _read_graph(a.graph)))
+    q.set_defaults(stats_text=lambda a: _about([a.labels, a.graph], _prevalence_json,
+                                               _read(LabelSet.from_csv, a.labels),
+                                               _read_graph(a.graph)))
     q = stats_sub.add_parser("gain", help="information-gain matrix")
     q.add_argument("--vertex-csv", required=True)
     q.add_argument("--labels", required=True)
     q.add_argument("--out", required=True)
-    q.set_defaults(stats_text=lambda a: _gain_csv(_read(read_vertex_metrics_csv, a.vertex_csv),
-                                                  _read(LabelSet.from_csv, a.labels)))
+    q.set_defaults(stats_text=lambda a: _about([a.vertex_csv, a.labels], _gain_csv,
+                                               _read(read_vertex_metrics_csv, a.vertex_csv),
+                                               _read(LabelSet.from_csv, a.labels)))
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("run", help="full pipeline from a JSON config")

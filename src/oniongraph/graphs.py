@@ -31,17 +31,11 @@ class ServiceGraph:
 
     Vertices are service-id strings kept sorted; edges live in three
     parallel arrays (src index, dst index, weight) sorted by (src, dst).
+    The graph is these five fields and holds no lazily built state: the
+    vertex index and the sparse adjacency are made afresh on each call.
     """
 
-    __slots__ = (
-        "directed",
-        "vertices",
-        "edge_src",
-        "edge_dst",
-        "edge_weight",
-        "_index",
-        "_succ",
-    )
+    __slots__ = ("directed", "vertices", "edge_src", "edge_dst", "edge_weight")
 
     def __init__(self, directed: bool, vertices, edge_src, edge_dst, edge_weight):
         self.directed = bool(directed)
@@ -49,8 +43,6 @@ class ServiceGraph:
         self.edge_src = np.asarray(edge_src, dtype=np.int64)
         self.edge_dst = np.asarray(edge_dst, dtype=np.int64)
         self.edge_weight = np.asarray(edge_weight, dtype=np.int64)
-        self._index: dict[str, int] | None = None
-        self._succ = None
 
     # -- construction -------------------------------------------------
 
@@ -118,9 +110,8 @@ class ServiceGraph:
 
     @property
     def index(self) -> dict[str, int]:
-        if self._index is None:
-            self._index = {vid: i for i, vid in enumerate(self.vertices)}
-        return self._index
+        """Vertex id -> position in `vertices`, built on each call."""
+        return {vid: i for i, vid in enumerate(self.vertices)}
 
     def edge_weight_map(self) -> dict[tuple[str, str], int]:
         """Edges keyed by id pair (canonical order for undirected graphs)."""
@@ -149,26 +140,14 @@ class ServiceGraph:
 
     # -- adjacency (CSR) ----------------------------------------------
 
-    def successors_csr(self):
-        """(indptr, indices, weights) following edge direction; for
-        undirected graphs this is the symmetric adjacency."""
-        if self._succ is None:
-            a = _weight_matrix(self.N, self.edge_src, self.edge_dst, self.edge_weight)
-            if not self.directed:
-                a = a + a.T  # canonical edges lie above the diagonal, so none overlap
-            # Rows come out sorted by column. Some scipy versions narrow the
-            # index arrays to int32; widen them so that degree products
-            # (k * (k - 1)) cannot wrap.
-            self._succ = (a.indptr.astype(np.int64, copy=False),
-                          a.indices.astype(np.int64, copy=False), a.data)
-        return self._succ
-
     def adjacency(self, weighted: bool = False) -> csr_array:
-        """Float sparse matrix of successors_csr (symmetric for undirected
-        graphs): the edge weights when `weighted`, else 1 for every edge."""
-        indptr, indices, weights = self.successors_csr()
-        data = weights.astype(np.float64) if weighted else np.ones(indices.size)
-        return csr_array((data, indices, indptr), shape=(self.N, self.N))
+        """A fresh float sparse matrix with rows sorted by column, following
+        edge direction (symmetric for undirected graphs): the edge weights
+        when `weighted`, else 1 for every edge."""
+        data = self.edge_weight.astype(np.float64) if weighted else np.ones(self.M)
+        a = _weight_matrix(self.N, self.edge_src, self.edge_dst, data)
+        # canonical undirected edges lie above the diagonal, so none overlap
+        return a if self.directed else a + a.T
 
     # -- degrees --------------------------------------------------------
 
@@ -190,8 +169,7 @@ class ServiceGraph:
         unknown = keep.difference(self.vertices)
         if unknown:
             raise UsageError(f"unknown vertices: {sorted(unknown)[:3]}...")
-        mask = np.zeros(self.N, dtype=bool)
-        mask[[self.index[vid] for vid in keep]] = True
+        mask = np.fromiter((vid in keep for vid in self.vertices), bool, self.N)
         return _induced(
             self.directed, self.vertices, mask, self.edge_src, self.edge_dst, self.edge_weight
         )

@@ -63,16 +63,16 @@ _COUNT_COLUMNS = ("in_degree", "out_degree", "degree")
 _BLOCK_ENTRIES = 2**17
 
 
-def _distance_blocks(g: ServiceGraph):
-    """Yield (rows, D) for consecutive blocks of source vertices: D[i, v] is
-    the unweighted distance from rows[i] to v, np.inf when unreachable."""
-    a = g.adjacency()
-    n = g.N
+def _distance_blocks(a, directed: bool):
+    """Yield (rows, D) for consecutive blocks of source vertices of the
+    adjacency matrix `a`: D[i, v] is the unweighted distance from rows[i]
+    to v, np.inf when unreachable."""
+    n = a.shape[0]
     step = max(1, _BLOCK_ENTRIES // n)
     for start in range(0, n, step):
         rows = np.arange(start, min(start + step, n))
         yield rows, csgraph.shortest_path(
-            a, method="D", directed=g.directed, unweighted=True, indices=rows
+            a, method="D", directed=directed, unweighted=True, indices=rows
         )
 
 
@@ -328,7 +328,7 @@ def vertex_metrics(
     closed = np.zeros(n, dtype=np.int64)
     inv_sum = 0.0  # sum of 1/d(u, v) over reached pairs, for global efficiency
 
-    for rows, d in _distance_blocks(g):
+    for rows, d in _distance_blocks(a, g.directed):
         reached = np.isfinite(d) & (d > 0)  # finite and not the source itself
         d_reached = np.where(reached, d, 0.0)
         ecc[rows] = d_reached.max(axis=1)
@@ -356,7 +356,7 @@ def vertex_metrics(
     degree = out_deg + in_deg
 
     # the local metrics look at out-neighbors (all neighbors when undirected)
-    k = np.diff(g.successors_csr()[0])
+    k = out_deg if g.directed else degree
     ordered = k * (k - 1)  # ordered pairs of distinct (out-)neighbors
     local = k >= 2
     efficiency = np.full(n, np.nan)
@@ -436,13 +436,13 @@ def hub_reach_curve(g: ServiceGraph, k: int = 25) -> np.ndarray:
         raise DataError("hub reach of an empty graph")
     deg = g.out_degrees() if g.directed else g.degrees()
     order = np.lexsort((np.arange(n), -deg))  # vertices sorted, so index = id order
-    indptr, indices, _ = g.successors_csr()
+    a = g.adjacency()
     covered = np.zeros(n, dtype=bool)
     curve = np.zeros(min(k, n))
     for i in range(curve.size):
         hub = int(order[i])
         covered[hub] = True
-        covered[indices[indptr[hub] : indptr[hub + 1]]] = True
+        covered[a.indices[a.indptr[hub] : a.indptr[hub + 1]]] = True
         curve[i] = covered.sum() / n
     return curve
 

@@ -366,6 +366,47 @@ class TestExitCodes:
                                            "graph; use --degree total\n")
         assert not out.exists()
 
+    def test_bowtie_of_an_undirected_graph_is_1_and_names_the_file(self, tmp_path, capsys):
+        graph, out = tmp_path / "u.tsv", tmp_path / "b.json"
+        graph.write_text("# undirected\na.onion\tb.onion\t1\nb.onion\tc.onion\t1\n")
+        assert main(["bowtie", "--graph", str(graph), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error: {graph}: bow-tie decomposition needs a "
+                                           "directed graph\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,text", [
+        ("--graph", "# undirected\na.onion\tb.onion\t1\n"),
+        ("--degrees-csv", "degree\n3\n"),
+    ])
+    def test_degenerate_fit_is_2_and_names_the_file_once(self, tmp_path, capsys, flag, text):
+        source, out = tmp_path / "input", tmp_path / "fit.json"
+        source.write_text(text)
+        assert main(["fit", flag, str(source), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {source}: degenerate tail: sample needs at least two distinct "
+                       "values\n")
+        assert err.count(str(source)) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["prevalence", "gain"])
+    def test_labels_covering_no_vertex_name_both_files(self, tmp_path, capsys, mode):
+        graph, vertices = tmp_path / "g.tsv", tmp_path / "v.csv"
+        labels, out = tmp_path / "labels.csv", tmp_path / "out"
+        graph.write_text("# directed\na.onion\tb.onion\t1\nb.onion\tc.onion\t1\n")
+        labels.write_text("service,class,language\nz.onion,Drugs,en\n")
+        assert main(["metrics", "--graph", str(graph), "--global-json", str(tmp_path / "g.json"),
+                     "--vertex-csv", str(vertices)]) == 0
+        capsys.readouterr()
+        if mode == "prevalence":
+            argv = ["--labels", str(labels), "--graph", str(graph)]
+            message = f"{labels} and {graph}: no labeled vertices in the graph"
+        else:
+            argv = ["--vertex-csv", str(vertices), "--labels", str(labels)]
+            message = f"{vertices} and {labels}: no labeled vertices among the metrics' vertices"
+        assert main(["stats", mode, *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command,flag,text", [
         ("metrics", "--component", "largest"),
         ("metrics", "--k-hubs", "0"),

@@ -17,6 +17,7 @@ from oniongraph.graphs import (
     union,
     write_graph_file,
 )
+from oniongraph.metrics import hits, pagerank
 from oniongraph.records import PageRecord
 
 from oracles import (
@@ -479,19 +480,29 @@ def random_graph(rng, directed):
 
 
 @pytest.mark.parametrize("directed", [True, False])
-def test_successors_csr_is_the_sorted_edge_list(directed):
+def test_adjacency_is_the_sorted_edge_list(directed):
     g = random_graph(np.random.default_rng(4), directed)
     src, dst, wgt = g.edge_src, g.edge_dst, g.edge_weight
     if not directed:
         src, dst, wgt = np.r_[src, dst], np.r_[dst, src], np.r_[wgt, wgt]
     order = np.lexsort((dst, src))
-    indptr, indices, weights = g.successors_csr()
+    adj = g.adjacency(weighted=True)
+    indptr, indices = adj.indptr, adj.indices
     assert g.M > 0
-    assert indptr.dtype == np.int64 and indices.dtype == np.int64
     assert indptr.tolist() == np.searchsorted(src[order], np.arange(g.N + 1)).tolist()
     assert indices.tolist() == dst[order].tolist()
-    assert weights.tolist() == wgt[order].tolist()
+    assert adj.data.tolist() == wgt[order].tolist()
     assert all(np.all(np.diff(indices[a:b]) > 0) for a, b in zip(indptr[:-1], indptr[1:]))
+
+
+@pytest.mark.parametrize("directed", [True, False])
+def test_rank_solvers_leave_the_adjacency_alone(directed):
+    g = random_graph(np.random.default_rng(4), directed)
+    expected = g.adjacency(weighted=True).data.tolist()
+    assert g.M > 0 and set(expected) != {1.0}
+    pagerank(g)
+    hits(g)
+    assert g.adjacency(weighted=True).data.tolist() == expected
 
 
 @pytest.mark.parametrize("directed", [True, False])
