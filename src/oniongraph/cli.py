@@ -238,6 +238,10 @@ class RunConfig:
         """Check every value against its config key, then the files it names."""
         for key, value in self.to_dict().items():
             _checked(key, value)
+        for snap in self.snapshots:
+            # every artifact path of a snapshot graph holds its id
+            if any(c in snap for c in "/\\\0"):
+                raise UsageError(f"snapshot id {snap!r} must not hold '/', '\\' or NUL")
         for snap, path in self.snapshots.items():
             if not os.path.exists(path):
                 raise DataError(f"snapshot {snap!r}: missing page file {path}")

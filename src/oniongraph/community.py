@@ -8,9 +8,10 @@ an explicit seed; the same seed always reproduces the same partition.
 Internally each level's symmetric adjacency is one CSR (indptr, indices,
 data) built by `_csr`: level 0 from every edge in both directions, each
 later level from the previous CSR with both endpoints mapped to their
-community. It follows the doubled-diagonal convention: a supernode's
-self-entry holds twice its internal weight, so vertex strength is a plain
-row sum and 2m is the grand total at every aggregation level.
+community. A level holds only the links between two different supernodes:
+the local moves never read a community's internal weight. Vertex strengths
+are computed once at level 0, and a supernode's strength is the sum of its
+members' strengths, so 2m stays the level-0 total at every level.
 
 Each row lists its columns in the order of their first entry (for level 0,
 edge order), not in ascending order. The local moves keep the first of
@@ -140,41 +141,20 @@ def modularity(g: ServiceGraph, p: Partition) -> float:
 
 
 def _csr(keys, weights, n):
-    """Sum the entries (key row * n + col, weight) into CSR arrays
-    (indptr, indices, data) over n vertices, plus the row sums (vertex
-    strengths). Each row keeps its columns in the order of their first
-    entry, which is the order the local moves visit them in. Weights are
-    link counts at every level, so data stays integer and every sum is
-    exact."""
-    keys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    data = np.bincount(inverse, weights=weights).astype(np.int64)
+    """Sum the entries (key row * n + col, weight) that join two different
+    vertices into CSR arrays (indptr, indices, data) over n vertices; an
+    entry on the diagonal is dropped. Each row keeps its columns in the
+    order of their first entry, which is the order the local moves visit
+    them in. Weights are link counts at every level, so data stays integer
+    and every sum is exact."""
+    off = keys // n != keys % n
+    keys, first, inverse = np.unique(keys[off], return_index=True, return_inverse=True)
+    data = np.bincount(inverse, weights=weights[off]).astype(np.int64)
     seq = np.lexsort((first, keys // n))
     keys, data = keys[seq], data[seq]
-    rows = keys // n
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return indptr, keys % n, data, np.bincount(rows, data, n)
-
-
-def _rows(indptr, indices, data):
-    """One level's CSR without its self-entries, as lists (ptr, cols, weights).
-
-    Every column naming vertex v is the same `int` object, so `cols` costs
-    one pointer per entry; the columns are converted in chunks, so the
-    temporary ints of a conversion stay few.
-    """
-    indptr, indices, data = (np.asarray(a) for a in (indptr, indices, data))
-    n = len(indptr) - 1
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    keep = indices != rows
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows[keep], minlength=n), out=ptr[1:])
-    indices, data = indices[keep], data[keep]
-    ids = list(range(n))
-    cols: list[int] = []
-    for lo in range(0, len(indices), _CHUNK):
-        cols += map(ids.__getitem__, indices[lo:lo + _CHUNK].tolist())
-    return ptr.tolist(), cols, data.tolist()
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    return indptr, keys % n, data
 
 
 def _near_tie_move(candidates, cu, around, ku, comm_strength, two_m):
@@ -212,8 +192,14 @@ def _one_level(indptr, indices, data, strength, two_m, rng) -> tuple[list[int], 
     integers held exactly in floats, so every gain is the row scan's float
     and the partition is the row scan's partition.
     """
-    ptr, cols, wts = _rows(indptr, indices, data)
-    n = len(ptr) - 1
+    # every column naming vertex v is the same `int` object, so `cols` costs
+    # one pointer per entry; converting in chunks keeps the temporary ints few
+    n = len(indptr) - 1
+    ids = list(range(n))
+    cols: list[int] = []
+    for lo in range(0, len(indices), _CHUNK):
+        cols += map(ids.__getitem__, np.asarray(indices[lo:lo + _CHUNK]).tolist())
+    ptr, wts = np.asarray(indptr).tolist(), np.asarray(data).tolist()
     community = list(range(n))
     comm_strength = list(strength)
     links: list[dict | None] = [None] * n
@@ -278,12 +264,14 @@ def louvain(g: ServiceGraph, seed: int = DEFAULT_LOUVAIN_SEED) -> Partition:
         raise DataError("louvain of an empty graph")
     rng = random.Random(seed)
     n = g.N
+    w = g.edge_weight.astype(np.float64)
+    strength = np.bincount(g.edge_src, w, n) + np.bincount(g.edge_dst, w, n)
+    two_m = float(strength.sum())
     # per edge, (src, dst) then (dst, src)
-    indptr, indices, data, strength = _csr(
+    indptr, indices, data = _csr(
         np.column_stack([g.edge_src * n + g.edge_dst, g.edge_dst * n + g.edge_src]).ravel(),
         np.repeat(g.edge_weight, 2), n,
     )
-    two_m = float(strength.sum())
     node_to_current = np.arange(n)
     while True:
         community, improved = _one_level(indptr, indices, data, strength.tolist(), two_m, rng)
@@ -292,7 +280,8 @@ def louvain(g: ServiceGraph, seed: int = DEFAULT_LOUVAIN_SEED) -> Partition:
         node_map = _first_appearance(community)  # supernodes, in vertex order
         rows = node_map[np.repeat(np.arange(n), np.diff(indptr))]
         n = int(node_map.max()) + 1
-        indptr, indices, data, strength = _csr(rows * n + node_map[indices], data, n)
+        indptr, indices, data = _csr(rows * n + node_map[indices], data, n)
+        strength = np.bincount(node_map, strength, n)
         node_to_current = node_map[node_to_current]
     # every level numbers by first appearance, so these labels are already dense
     return Partition(g.vertices, node_to_current)

@@ -22,8 +22,10 @@ from .records import PageRecord
 
 def is_onion_id(service_id: str) -> bool:
     """True for ids inside the crawled onion namespace; everything else
-    (surface-web targets) is ignored when building graphs."""
-    return service_id.endswith(".onion") and len(service_id) > len(".onion")
+    (surface-web targets, and ids holding a tab, CR or LF, which no graph
+    file can carry) is ignored when building graphs."""
+    return (service_id.endswith(".onion") and len(service_id) > len(".onion")
+            and "\t" not in service_id and "\r" not in service_id and "\n" not in service_id)
 
 
 class ServiceGraph:

@@ -81,11 +81,10 @@ def _brandes_accumulate(dist, esrc, edst, source, n, betweenness) -> None:
 
     Works level-by-level on the shortest-path DAG edges (dist[head] ==
     dist[tail] + 1): path counts flow forward, dependencies flow backward,
-    all in bulk array operations.
+    all in bulk array operations. The source must have an out-edge, so the
+    DAG has at least one edge.
     """
     dag = (dist[esrc] >= 0) & (dist[edst] == dist[esrc] + 1)
-    if not np.any(dag):
-        return
     se, te = esrc[dag], edst[dag]
     lev = dist[te]
     order = np.argsort(lev, kind="stable")
@@ -343,7 +342,8 @@ def vertex_metrics(
         closed[rows] = (a[rows] @ sym).multiply(a[rows]).sum(axis=1)
         dist = np.where(np.isfinite(d), d, -1).astype(np.int64)
         for s, row in zip(rows.tolist(), dist):
-            _brandes_accumulate(row, esrc, edst, s, n, betweenness)
+            if a.indptr[s + 1] > a.indptr[s]:  # a source with no out-edge adds nothing
+                _brandes_accumulate(row, esrc, edst, s, n, betweenness)
 
     closeness = np.zeros(n)
     nontrivial = cnt_in > 0

@@ -153,6 +153,11 @@ def iter_pages(lines: Iterable[str], source=None) -> Iterator[PageRecord]:
             raise _field_error("snapshot", "must be a non-empty string", line_no, source)
         if type(service) is not str or not service:
             raise _field_error("service", "must be a non-empty string", line_no, source)
+        # the service ids a graph file can carry as a vertex
+        if (service[0] == "#" or service != service.strip()
+                or "\t" in service or "\r" in service or "\n" in service):
+            raise _field_error("service", "must not start with '#', hold a tab, CR or LF, "
+                               "or start or end with whitespace", line_no, source)
         if type(path) is not str:
             raise _field_error("path", "must be a string", line_no, source)
         if type(depth) is not int or depth < 0:

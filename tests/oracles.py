@@ -8,6 +8,9 @@ dense matrices. The fit solvers are ported from scipy.optimize, so their
 references are scipy.optimize itself. The AMI-on-common-vertices oracle is
 compared bit for bit, so it replays only the dict path that builds the
 contingency table and scores that table with the package's own kernels.
+The Brandes kernel oracle is also compared bit for bit: it is the
+per-source kernel as it was when every source, even one with no out-edge,
+ran it.
 """
 
 import itertools
@@ -103,6 +106,32 @@ def betweenness_oracle(g):
         contrib[:, ~np.isfinite(ds) | (sigma[s] == 0)] = 0.0
         bc += contrib.sum(axis=1)
     return bc
+
+
+def brandes_accumulate_oracle(dist, esrc, edst, source, n, betweenness):
+    """One source's Brandes dependencies added to `betweenness`, level by
+    level over the shortest-path DAG edges; a source whose DAG is empty
+    adds nothing."""
+    dag = (dist[esrc] >= 0) & (dist[edst] == dist[esrc] + 1)
+    if not np.any(dag):
+        return
+    se, te = esrc[dag], edst[dag]
+    lev = dist[te]
+    order = np.argsort(lev, kind="stable")
+    se, te, lev = se[order], te[order], lev[order]
+    max_level = int(lev[-1])
+    cuts = np.searchsorted(lev, np.arange(1, max_level + 2))
+    sigma = np.zeros(n)
+    sigma[source] = 1.0
+    for level in range(1, max_level + 1):
+        a, b = cuts[level - 1], cuts[level]
+        np.add.at(sigma, te[a:b], sigma[se[a:b]])
+    delta = np.zeros(n)
+    for level in range(max_level, 0, -1):
+        a, b = cuts[level - 1], cuts[level]
+        np.add.at(delta, se[a:b], sigma[se[a:b]] / sigma[te[a:b]] * (1.0 + delta[te[a:b]]))
+    betweenness += delta
+    betweenness[source] -= delta[source]
 
 
 def closeness_oracle(dist):

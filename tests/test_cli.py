@@ -623,6 +623,59 @@ class TestExitCodes:
         assert f"{pages}: records for ['SNP2'] found in the 'SNP1' file" in err
         assert tree_of(out) == earlier
 
+    @pytest.mark.parametrize("service", ["#a.onion", "a\t.onion", " a.onion"])
+    @pytest.mark.parametrize("command", ["ingest", "build", "run"])
+    def test_service_id_no_graph_file_can_carry_is_2_at_its_line(self, tmp_path, capsys,
+                                                                 command, service):
+        pages = write_tiny_pages(tmp_path)
+        with open(pages, "a") as fh:
+            fh.write(json.dumps({"snapshot": "S1", "service": service, "path": "/", "depth": 0,
+                                 "chars": 100, "links": ["a.onion"]}) + "\n")
+        out = tmp_path / "out"
+        argv = {
+            "ingest": ["ingest", str(pages), "--out-dir", str(out)],
+            "build": ["build", str(pages), "--out", str(out)],
+            "run": ["run", "--config", str(write_config(
+                tmp_path, {"snapshots": {"S1": str(pages)}, "out_dir": str(out)}))],
+        }[command]
+        assert main(argv) == 2
+        assert f"{pages}: line 6: field 'service' must not start with '#'" in (
+            capsys.readouterr().err)
+        assert not out.exists() or os.listdir(out) == []
+
+    def test_link_target_no_graph_file_can_carry_is_dropped(self, tmp_path):
+        pages = write_tiny_pages(tmp_path)
+        out = tmp_path / "out"
+        config = write_config(tmp_path, {"snapshots": {"S1": str(pages)}, "out_dir": str(out),
+                                         "graph_sets": ["snapshots"]})
+        assert main(["run", "--config", str(config)]) == 0
+        graphs = tree_of(out / "graphs")
+        with open(pages, "a") as fh:
+            fh.write(json.dumps({"snapshot": "S1", "service": "a.onion", "path": "/x",
+                                 "depth": 1, "chars": 0, "links": ["b\r.onion"]}) + "\n")
+        assert main(["run", "--config", str(config)]) == 0
+        assert tree_of(out / "graphs") == graphs
+
+    @pytest.mark.parametrize("snap", ["x/../../../../evil", "a\\b", "a\0b"])
+    @pytest.mark.parametrize("via", ["config", "--set"])
+    def test_snapshot_id_holding_a_path_separator_is_1_and_writes_nothing(
+            self, tmp_path, capsys, monkeypatch, snap, via):
+        # "x/../../../../evil" would put the graphs' files in the config's
+        # directory, outside out_dir
+        work = tmp_path / "a" / "b"
+        work.mkdir(parents=True)
+        monkeypatch.chdir(work)
+        pages = write_tiny_pages(work)
+        pages.write_text(pages.read_text().replace('"S1"', json.dumps(snap)))
+        snapshots = {} if via == "--set" else {snap: str(pages)}
+        config = write_config(work, {"snapshots": snapshots, "out_dir": "out"})
+        argv = ["--set", f"snapshots.{snap}={pages}"] if via == "--set" else []
+        before = tree_of(tmp_path)
+        assert main(["run", "--config", str(config), *argv]) == 1
+        assert capsys.readouterr().err == (
+            f"error: snapshot id {snap!r} must not hold '/', '\\' or NUL\n")
+        assert tree_of(tmp_path) == before
+
     def test_every_config_key_has_a_type_check(self):
         assert set(cli._CONFIG_TYPES) == {f.name for f in fields(RunConfig)}
 

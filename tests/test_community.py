@@ -22,6 +22,7 @@ from oniongraph.graphs import ServiceGraph, build_dsg, to_usg, union
 from oniongraph.synth import CorpusSpec, generate_corpus
 
 from oracles import (
+    _louvain_csr_oracle,
     ami_on_common_oracle,
     expected_mi_oracle,
     expected_mi_sum_oracle,
@@ -162,7 +163,8 @@ class TestLouvain:
         rows = np.concatenate([g.edge_src, g.edge_dst])
         cols = np.concatenate([g.edge_dst, g.edge_src])
         weights = np.tile(g.edge_weight, 2)
-        indptr, indices, data, strength = community._csr(rows * g.N + cols, weights, g.N)
+        indptr, indices, data = community._csr(rows * g.N + cols, weights, g.N)
+        strength = np.bincount(rows, weights, g.N)
         found, _ = community._one_level(
             indptr.tolist(), indices.tolist(), data.tolist(), strength.tolist(),
             strength.sum(), random.Random(seed),
@@ -232,6 +234,46 @@ class TestLouvainMatchesRowScanOracle:
             expected = Partition.from_labels(louvain_row_scan_oracle(g, seed))
             assert louvain(g, seed=seed).assignment == expected.assignment
         assert replays
+
+    @pytest.mark.parametrize("seed", [None, *range(10)])
+    def test_levels_hold_no_self_entries_and_sum_member_strengths(self, monkeypatch,
+                                                                  default_union, seed):
+        # each level is checked against the row scan's level of the same
+        # partition: the same off-diagonal entries, in the same order, and
+        # strengths equal to its row sums over the doubled self-entries
+        if seed is None:
+            g = default_union
+        else:
+            rng = np.random.default_rng(200 + seed)
+            g = (random_digraph if seed % 2 else random_undirected)(rng, 60, 0.06)
+        levels = []
+        real = community._one_level
+
+        def spy(indptr, indices, data, strength, two_m, rng):
+            found, improved = real(indptr, indices, data, strength, two_m, rng)
+            levels.append((indptr, indices, data, strength, found))
+            return found, improved
+
+        monkeypatch.setattr(community, "_one_level", spy)
+        louvain(g, seed=0)
+        assert len(levels) >= 2
+        n = g.N
+        keys = np.column_stack([g.edge_src * n + g.edge_dst, g.edge_dst * n + g.edge_src]).ravel()
+        indptr, indices, data, strength = _louvain_csr_oracle(keys, np.repeat(g.edge_weight, 2), n)
+        for level_ptr, level_cols, level_data, level_strength, found in levels:
+            rows = np.repeat(np.arange(n), np.diff(indptr))
+            off = indices != rows
+            assert not np.any(level_cols == np.repeat(np.arange(n), np.diff(level_ptr)))
+            assert level_ptr.tolist() == [0, *np.cumsum(np.bincount(rows[off], minlength=n))]
+            assert level_cols.tolist() == indices[off].tolist()
+            assert level_data.tolist() == data[off].tolist()
+            assert level_strength == strength.tolist()
+            node_map = Partition.of(range(n), found).labels
+            rows = node_map[rows]
+            n = int(node_map.max()) + 1
+            indptr, indices, data, strength = _louvain_csr_oracle(
+                rows * n + node_map[indices], data, n
+            )
 
     def test_peak_memory_near_the_row_scan(self, default_union):
         def peak(run):

@@ -115,6 +115,8 @@ def test_is_onion_id():
     assert is_onion_id("abc.onion")
     assert not is_onion_id(".onion")
     assert not is_onion_id("example.com")
+    for breaking in "\t\r\n":
+        assert not is_onion_id(f"b{breaking}.onion")
 
 
 class TestToUsg:

@@ -1,3 +1,4 @@
+import functools
 import io
 import math
 
@@ -22,6 +23,7 @@ from oniongraph.metrics import (
 from oracles import (
     adjacency_bool,
     betweenness_oracle,
+    brandes_accumulate_oracle,
     closeness_oracle,
     distance_stats_oracle,
     eccentricity_oracle,
@@ -215,6 +217,32 @@ class TestGlobalTransitivity:
         assert global_transitivity(g) == pytest.approx(global_transitivity_oracle(g), abs=1e-12)
 
 
+
+def sink_heavy_digraph(seed):
+    """A random digraph in which only every third vertex has out-edges."""
+    g = random_digraph(np.random.default_rng(seed), 30, 0.2)
+    keep = g.edge_src % 3 == 0
+    return ServiceGraph.from_arrays(True, g.vertices, g.edge_src[keep], g.edge_dst[keep],
+                                    g.edge_weight[keep])
+
+
+def sparse_undirected(seed):
+    return random_undirected(np.random.default_rng(seed), 30, 0.1)
+
+
+BRANDES_GRAPHS = {
+    **{f"sinks-{seed}": functools.partial(sink_heavy_digraph, seed) for seed in range(3)},
+    **{f"undirected-{seed}": functools.partial(sparse_undirected, seed) for seed in range(3)},
+    "star": star,
+    "undirected-star": functools.partial(star, directed=False),
+    "path": functools.partial(dg, PATH3),
+    "undirected-path": functools.partial(ug, PATH3),
+    # component_policy "whole" keeps a vertex of no edge in the analysed graph
+    "isolated": functools.partial(dg, PATH3, isolated=["z.onion"]),
+    "undirected-isolated": functools.partial(ug, PATH3, isolated=["z.onion"]),
+}
+
+
 class TestVertexMetrics:
     def test_path_betweenness_and_eccentricity(self):
         vm = vertex_metrics(ug(PATH3))
@@ -335,6 +363,31 @@ class TestVertexMetrics:
         assert gm.global_efficiency == pytest.approx(eglo, abs=1e-12)
         tra = gm.transitivity if directed else gm.clustering
         assert tra == pytest.approx(global_transitivity_oracle(g), abs=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(BRANDES_GRAPHS))
+    def test_betweenness_matches_the_every_source_kernel_bit_for_bit(self, monkeypatch, name):
+        g = BRANDES_GRAPHS[name]()
+        sources = []
+        real = metrics._brandes_accumulate
+
+        def counted(dist, esrc, edst, source, n, betweenness):
+            sources.append(source)
+            real(dist, esrc, edst, source, n, betweenness)
+
+        monkeypatch.setattr(metrics, "_brandes_accumulate", counted)
+        vm = vertex_metrics(g)
+        # the kernel runs once for each source with an out-edge (any edge
+        # when undirected), in source order
+        a = g.adjacency()
+        assert sources == [s for s in range(g.N) if a.indptr[s + 1] > a.indptr[s]]
+        esrc = g.edge_src if g.directed else np.concatenate([g.edge_src, g.edge_dst])
+        edst = g.edge_dst if g.directed else np.concatenate([g.edge_dst, g.edge_src])
+        expected = np.zeros(g.N)
+        for s, row in enumerate(floyd_warshall(g)):
+            dist = np.where(np.isfinite(row), row, -1).astype(np.int64)
+            brandes_accumulate_oracle(dist, esrc, edst, s, g.N, expected)
+        assert vm.betweenness.tobytes() == expected.tobytes()
+
 
     def test_degree_one_vertex_gets_nan_locals(self):
         vm = vertex_metrics(dg([("a.onion", "b.onion", 1)]))

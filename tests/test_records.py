@@ -123,6 +123,14 @@ class TestParserMatchesJsonLoadsReference:
             parse_pages([make_line(), line])
         assert str(info.value) == f"line 2: {expected}"
 
+    @pytest.mark.parametrize("service", ["#a.onion", "a\t.onion", "a\r.onion", "a\n.onion",
+                                         " a.onion", "a.onion ", "a.onion\u00a0"])
+    def test_service_id_no_graph_file_can_carry(self, service):
+        with pytest.raises(ParseError) as info:
+            parse_pages([make_line(), make_line(service=service)])
+        assert str(info.value) == ("line 2: field 'service' must not start with '#', hold a "
+                                   "tab, CR or LF, or start or end with whitespace")
+
     @pytest.mark.parametrize("line", [
         make_line(),
         "  " + make_line() + "\t\n",
