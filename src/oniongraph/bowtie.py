@@ -43,7 +43,7 @@ def _reachable_from(a, seeds: np.ndarray) -> np.ndarray:
     """Mask of the vertices reachable in `a` from any seed (seeds included)."""
     if not seeds.size:
         return np.zeros(a.shape[0], dtype=bool)
-    return np.isfinite(csgraph.dijkstra(a, indices=seeds, min_only=True, unweighted=True))
+    return np.isfinite(csgraph.dijkstra(a, indices=seeds, min_only=True))
 
 
 def bowtie_decompose(g: ServiceGraph) -> BowTieAssignment:

@@ -242,6 +242,9 @@ class RunConfig:
             # every artifact path of a snapshot graph holds its id
             if any(c in snap for c in "/\\\0"):
                 raise UsageError(f"snapshot id {snap!r} must not hold '/', '\\' or NUL")
+            # the derived graphs' artifacts are named like a snapshot's
+            if snap in ("intersection", "union"):
+                raise UsageError(f"snapshot id {snap!r} is the name of a derived graph")
         for snap, path in self.snapshots.items():
             if not os.path.exists(path):
                 raise DataError(f"snapshot {snap!r}: missing page file {path}")
@@ -579,6 +582,9 @@ def run_pipeline(config: RunConfig) -> dict:
             if "intersection" in config.graph_sets and len(snap_ids) >= 2:
                 graphs[f"{prefix}_intersection"] = intersect(list(per_snap.values()))
                 lcr_for[f"{prefix}_intersection"] = mean_lcr
+            elif "intersection" in config.graph_sets:
+                skipped.append({"stage": f"graphs.{prefix}_intersection",
+                                "reason": "single snapshot"})
             if "union" in config.graph_sets:
                 graphs[f"{prefix}_union"] = union(list(per_snap.values()))
                 lcr_for[f"{prefix}_union"] = mean_lcr
@@ -669,9 +675,9 @@ def _cmd_build(args) -> int:
         snapshot = args.snapshot
         if snapshot is None:
             seen = {p.snapshot_id for p in pages}
-            if len(seen) != 1:
+            if len(seen) > 1:
                 raise UsageError("--snapshot is required when files span snapshots")
-            snapshot = seen.pop()
+            snapshot = seen.pop() if seen else None
         g = build_dsg([p for p in pages if p.snapshot_id == snapshot], snapshot)
         if args.kind == "usg":
             g = to_usg(g)

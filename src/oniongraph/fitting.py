@@ -235,9 +235,8 @@ def fit_power_law(
         cands = np.flatnonzero(tail_sizes >= min_tail)
         if cands.size == 0:
             raise DataError(f"insufficient tail: no cutoff keeps {min_tail} observations")
-        cands = cands[cands < values.size - 1]  # at least two distinct values
-        if cands.size == 0:
-            raise DataError("degenerate tail: no candidate cutoff with two distinct values")
+        # at least two distinct values; candidate 0 always stays, as values.size >= 2
+        cands = cands[cands < values.size - 1]
         xmins = values[cands]
     # each tail logs its own slice: a slice of one shared log array may sum
     # in another order and move alpha in the last bit
@@ -499,16 +498,5 @@ def fit_report(sample, min_tail: int = DEFAULT_MIN_TAIL) -> FitReport:
     pl = fit_power_law(sample, min_tail=min_tail)
     ln = fit_lognormal(sample, pl.xmin)
     cmp_ = compare_fits(sample, pl.xmin, pl, ln)
-    return FitReport(
-        alpha=pl.alpha,
-        xmin=pl.xmin,
-        ks_distance=pl.ks_distance,
-        tail_fraction=pl.tail_fraction,
-        n_tail=pl.n_tail,
-        lognormal_mu=ln.mu,
-        lognormal_sigma=ln.sigma,
-        lognormal_low_confidence=ln.low_confidence,
-        loglik_ratio=cmp_.loglik_ratio,
-        p_value=cmp_.p_value,
-        better=cmp_.better,
-    )
+    return FitReport(**asdict(pl), **asdict(cmp_), lognormal_mu=ln.mu,
+                     lognormal_sigma=ln.sigma, lognormal_low_confidence=ln.low_confidence)

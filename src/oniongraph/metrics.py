@@ -1,19 +1,21 @@
 """Global and per-vertex topology metrics.
 
-`vertex_metrics` makes one all-sources distance pass per graph. It returns
-the per-vertex vectors and, as reductions of the same pass, the global
-metrics (`VertexMetrics.global_metrics`): diameter is the largest
-eccentricity, mean distance and global efficiency sum the reached pairs,
-and transitivity or clustering sums the per-vertex closed pairs.
+`vertex_metrics` makes one all-sources distance pass per graph over the 0/1
+adjacency matrix, in blocks of sources: each block is one int64 matrix of
+distances, -1 where a vertex is unreachable. It returns the per-vertex
+vectors and, as reductions of the same pass, the global metrics
+(`VertexMetrics.global_metrics`): diameter is the largest eccentricity,
+mean distance and global efficiency sum the reached pairs, and
+transitivity or clustering sums the per-vertex closed pairs.
 
 All distance-based quantities are unweighted: edge weights express link
 multiplicity (endorsement strength), not length, so they never alter
 shortest paths. Weights do enter PageRank and HITS by default, where they
 bias the random surfer / endorsement flow; a flag turns that off.
 
-Infinite distances are handled with the finite-paths convention: means and
-maxima run over finite ordered pairs only, and 1/inf counts as 0 in the
-efficiency sums. A metric with no value on a small graph is NaN: mean
+Unreachable pairs are handled with the finite-paths convention: means and
+maxima run over reached ordered pairs only, and an unreachable pair adds 0
+to the efficiency sums. A metric with no value on a small graph is NaN: mean
 distance with no reached pair, global efficiency below 2 vertices,
 centralization below 3.
 """
@@ -63,17 +65,16 @@ _COUNT_COLUMNS = ("in_degree", "out_degree", "degree")
 _BLOCK_ENTRIES = 2**17
 
 
-def _distance_blocks(a, directed: bool):
-    """Yield (rows, D) for consecutive blocks of source vertices of the
-    adjacency matrix `a`: D[i, v] is the unweighted distance from rows[i]
-    to v, np.inf when unreachable."""
+def _distance_blocks(a):
+    """Yield (rows, D) for consecutive blocks of source vertices of `a`, the
+    0/1 adjacency matrix (symmetric for an undirected graph): D[i, v] is the
+    int64 distance from rows[i] to v, -1 when unreachable."""
     n = a.shape[0]
     step = max(1, _BLOCK_ENTRIES // n)
     for start in range(0, n, step):
         rows = np.arange(start, min(start + step, n))
-        yield rows, csgraph.shortest_path(
-            a, method="D", directed=directed, unweighted=True, indices=rows
-        )
+        d = csgraph.shortest_path(a, method="D", indices=rows)
+        yield rows, np.where(np.isfinite(d), d, -1).astype(np.int64)
 
 
 def _brandes_accumulate(dist, esrc, edst, source, n, betweenness) -> None:
@@ -327,29 +328,26 @@ def vertex_metrics(
     closed = np.zeros(n, dtype=np.int64)
     inv_sum = 0.0  # sum of 1/d(u, v) over reached pairs, for global efficiency
 
-    for rows, d in _distance_blocks(a, g.directed):
-        reached = np.isfinite(d) & (d > 0)  # finite and not the source itself
-        d_reached = np.where(reached, d, 0.0)
-        ecc[rows] = d_reached.max(axis=1)
-        sum_in += d_reached.sum(axis=0)
+    for rows, d in _distance_blocks(a):
+        reached = d > 0  # neither unreachable nor the source itself
+        ecc[rows] = d.max(axis=1)
+        sum_in += np.maximum(d, 0).sum(axis=0)
         cnt_in += reached.sum(axis=0)
         # local efficiency: eff_sum[v] gains 1/d(u, w) for each neighbor u
         # of v among the block's sources and each neighbor w of v;
         # (A @ inv.T)[v, u] sums over w, A's column slice keeps u adjacent to v
-        inv = np.divide(1.0, d, out=np.zeros_like(d), where=reached)
+        inv = np.divide(1.0, d, out=np.zeros(d.shape), where=reached)
         inv_sum += float(inv[reached].sum())
         eff_sum += np.asarray(a[:, rows[0] : rows[-1] + 1].multiply(a @ inv.T).sum(axis=1)).ravel()
         closed[rows] = (a[rows] @ sym).multiply(a[rows]).sum(axis=1)
-        dist = np.where(np.isfinite(d), d, -1).astype(np.int64)
-        for s, row in zip(rows.tolist(), dist):
+        for s, row in zip(rows.tolist(), d):
             if a.indptr[s + 1] > a.indptr[s]:  # a source with no out-edge adds nothing
                 _brandes_accumulate(row, esrc, edst, s, n, betweenness)
 
     closeness = np.zeros(n)
     nontrivial = cnt_in > 0
-    if n > 1:
-        r = cnt_in[nontrivial].astype(np.float64)
-        closeness[nontrivial] = (r / (n - 1)) * (r / sum_in[nontrivial])
+    r = cnt_in[nontrivial].astype(np.float64)
+    closeness[nontrivial] = (r / (n - 1)) * (r / sum_in[nontrivial])
 
     out_deg = g.out_degrees()
     in_deg = g.in_degrees()

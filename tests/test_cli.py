@@ -562,6 +562,13 @@ class TestExitCodes:
                      "--out", str(out)]) == 0
         assert read_graph_file(out).N == 0
 
+    @pytest.mark.parametrize("argv", [[], ["--snapshot", "S1"]])
+    def test_build_of_page_files_with_no_record_writes_the_empty_graph(self, tmp_path, argv):
+        empty, out = tmp_path / "empty.jsonl", tmp_path / "g.tsv"
+        empty.write_text("")
+        assert main(["build", str(empty), *argv, "--out", str(out)]) == 0
+        assert out.read_text() == "# directed\n"
+
     @pytest.mark.parametrize("argv, message", [
         (["--combine", "union"], "--combine needs --inputs graph files"),
         ([], "either page files or --combine must be given"),
@@ -656,12 +663,10 @@ class TestExitCodes:
         assert main(["run", "--config", str(config)]) == 0
         assert tree_of(out / "graphs") == graphs
 
-    @pytest.mark.parametrize("snap", ["x/../../../../evil", "a\\b", "a\0b"])
-    @pytest.mark.parametrize("via", ["config", "--set"])
-    def test_snapshot_id_holding_a_path_separator_is_1_and_writes_nothing(
-            self, tmp_path, capsys, monkeypatch, snap, via):
-        # "x/../../../../evil" would put the graphs' files in the config's
-        # directory, outside out_dir
+    @staticmethod
+    def refused_snapshot_id(tmp_path, capsys, monkeypatch, snap, via) -> str:
+        """The stderr of a `run` whose one snapshot has id `snap`, given in
+        the config file or by --set, which must exit 1 and write nothing."""
         work = tmp_path / "a" / "b"
         work.mkdir(parents=True)
         monkeypatch.chdir(work)
@@ -672,9 +677,25 @@ class TestExitCodes:
         argv = ["--set", f"snapshots.{snap}={pages}"] if via == "--set" else []
         before = tree_of(tmp_path)
         assert main(["run", "--config", str(config), *argv]) == 1
-        assert capsys.readouterr().err == (
-            f"error: snapshot id {snap!r} must not hold '/', '\\' or NUL\n")
         assert tree_of(tmp_path) == before
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("snap", ["x/../../../../evil", "a\\b", "a\0b"])
+    @pytest.mark.parametrize("via", ["config", "--set"])
+    def test_snapshot_id_holding_a_path_separator_is_1_and_writes_nothing(
+            self, tmp_path, capsys, monkeypatch, snap, via):
+        # "x/../../../../evil" would put the graphs' files in the config's
+        # directory, outside out_dir
+        assert self.refused_snapshot_id(tmp_path, capsys, monkeypatch, snap, via) == (
+            f"error: snapshot id {snap!r} must not hold '/', '\\' or NUL\n")
+
+    @pytest.mark.parametrize("snap", ["intersection", "union"])
+    @pytest.mark.parametrize("via", ["config", "--set"])
+    def test_snapshot_id_naming_a_derived_graph_is_1_and_writes_nothing(
+            self, tmp_path, capsys, monkeypatch, snap, via):
+        # dsg_union.tsv of the snapshot "union" would be replaced by the union's
+        assert self.refused_snapshot_id(tmp_path, capsys, monkeypatch, snap, via) == (
+            f"error: snapshot id {snap!r} is the name of a derived graph\n")
 
     def test_every_config_key_has_a_type_check(self):
         assert set(cli._CONFIG_TYPES) == {f.name for f in fields(RunConfig)}
@@ -796,6 +817,20 @@ class TestRunPipeline:
                                           "usg_S1.degree.json", "usg_union.degree.json"]
         for fit in fits:
             assert list(json.loads(fit.read_text())) == ["error"]
+
+    @pytest.mark.parametrize("directedness", [["directed", "undirected"], ["directed"]])
+    def test_single_snapshot_skips_the_intersections(self, tmp_path, directedness):
+        cfg = RunConfig.from_dict({"snapshots": {"S1": str(write_tiny_pages(tmp_path))},
+                                   "directedness": directedness, "out_dir": str(tmp_path / "out")})
+        manifest = run_pipeline(cfg)
+        prefixes = {"directed": "dsg", "undirected": "usg"}
+        assert manifest["skipped"] == [
+            *({"stage": f"graphs.{prefixes[d]}_intersection", "reason": "single snapshot"}
+              for d in directedness),
+            {"stage": "ingest.persistence", "reason": "single snapshot"},
+            {"stage": "stats.labels", "reason": "no labels configured"},
+        ]
+        assert not any("intersection" in a["path"] for a in manifest["artifacts"])
 
     def test_labels_of_no_vertex_skip_the_label_stats(self, tmp_path):
         labels = tmp_path / "labels.csv"

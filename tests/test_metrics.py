@@ -1,9 +1,11 @@
 import functools
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
 from oniongraph import metrics
 from oniongraph.errors import DataError
@@ -363,6 +365,40 @@ class TestVertexMetrics:
         assert gm.global_efficiency == pytest.approx(eglo, abs=1e-12)
         tra = gm.transitivity if directed else gm.clustering
         assert tra == pytest.approx(global_transitivity_oracle(g), abs=1e-12)
+
+    @pytest.mark.parametrize("blocked", [False, True])
+    @pytest.mark.parametrize("seed,directed", [(22, True), (23, False)])
+    def test_distance_blocks_are_int64_with_minus_one_where_unreached(
+            self, seed, directed, blocked, monkeypatch):
+        rng = np.random.default_rng(seed)
+        r = random_digraph(rng, 31, 0.05) if directed else random_undirected(rng, 31, 0.06)
+        edges = [(r.vertices[u], r.vertices[v]) for u, v in zip(r.edge_src, r.edge_dst)]
+        g = ServiceGraph.from_edges(directed, edges, isolated_vertices=r.vertices + ("zzz.onion",))
+        if blocked:
+            monkeypatch.setattr(metrics, "_BLOCK_ENTRIES", 7 * g.N)
+        a = g.adjacency()
+        dist = floyd_warshall(g)
+        expected = np.where(np.isfinite(dist), dist, -1).astype(np.int64)
+        assert (expected[-1, :-1] == -1).all()  # zzz.onion, the isolated vertex
+        sources = []
+        for rows, d in metrics._distance_blocks(a):
+            assert d.dtype == np.int64
+            # scipy's symmetrization and unit weights change no distance
+            unit = csgraph.shortest_path(a, method="D", directed=directed, unweighted=True,
+                                         indices=rows)
+            np.testing.assert_array_equal(d, np.where(np.isfinite(unit), unit, -1))
+            np.testing.assert_array_equal(d, expected[rows])
+            sources.extend(rows.tolist())
+        assert sources == list(range(g.N))
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_one_vertex_raises_no_warning(self, directed):
+        g = ServiceGraph.from_edges(directed, [], isolated_vertices=["a.onion"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vm = vertex_metrics(g)
+        for column in (vm.betweenness, vm.closeness, vm.eccentricity):
+            assert column.tolist() == [0.0]
 
     @pytest.mark.parametrize("name", sorted(BRANDES_GRAPHS))
     def test_betweenness_matches_the_every_source_kernel_bit_for_bit(self, monkeypatch, name):
